@@ -11,11 +11,15 @@
 //   --reps <int>  repetitions; the minimum time is reported (paper: 3)
 //   --seed <int>  base RNG seed
 //   --graphs a,b  comma-separated subset of the four graph names
+// Any other flag is a usage error (exit 2), so a typo cannot silently
+// measure the default configuration.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,7 +72,10 @@ inline double parse_numeric_flag(const char* flag, const char* value,
   return v;
 }
 
-inline BenchConfig parse_args(int argc, char** argv) {
+/// `own_flags` are the calling binary's value-taking flags: it parses them
+/// itself, so here they (and their values) are skipped.
+inline BenchConfig parse_args(
+    int argc, char** argv, std::initializer_list<const char*> own_flags = {}) {
   BenchConfig cfg;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
@@ -111,6 +118,13 @@ inline BenchConfig parse_args(int argc, char** argv) {
       }
       if (cfg.graphs.empty()) usage_error("--graphs: no graph names given");
     }
+    else if (std::any_of(own_flags.begin(), own_flags.end(),
+                         [&](const char* f) {
+                           return !std::strcmp(argv[i], f);
+                         })) {
+      (void)next();
+    }
+    else usage_error(std::string("unknown flag \"") + argv[i] + "\"");
   }
   return cfg;
 }

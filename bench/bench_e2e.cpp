@@ -158,7 +158,8 @@ const BaselineRow* find_baseline(const std::vector<BaselineRow>& rows,
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_e2e.json";
   std::string baseline_path;
-  // Pre-extract bench_e2e's own flags; bench_common ignores unknowns.
+  // Pre-extract bench_e2e's own flags; bench_common skips them and
+  // rejects any flag it does not know.
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_path = argv[++i];
@@ -166,7 +167,7 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     }
   }
-  const BenchConfig cfg = parse_args(argc, argv);
+  const BenchConfig cfg = parse_args(argc, argv, {"--out", "--baseline"});
   const auto baseline =
       baseline_path.empty() ? std::vector<BaselineRow>{}
                             : load_baseline(baseline_path);
@@ -198,6 +199,7 @@ int main(int argc, char** argv) {
           opts.eps = 0.03;
           opts.gpu_cpu_threshold = cfg.gpu_threshold;
           opts.seed = cfg.seed + static_cast<std::uint64_t>(rep);
+          opts.gpu_scan = cfg.gpu_scan;
           WallTimer t;
           const auto r = sys->run(g, opts);
           const double wall = t.seconds();
@@ -226,6 +228,7 @@ int main(int argc, char** argv) {
           opts.gpu_cpu_threshold = cfg.gpu_threshold;
           opts.seed = cfg.seed + static_cast<std::uint64_t>(rep);
           opts.audit_level = AuditLevel::kPhase;
+          opts.gpu_scan = cfg.gpu_scan;
           WallTimer t;
           (void)sys->run(g, opts);
           row.audit_wall_s = std::min(row.audit_wall_s, t.seconds());

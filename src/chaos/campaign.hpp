@@ -13,9 +13,12 @@
 //   an invalid silent result, or a leaked device-pool block.
 //
 // Violations are minimized by the delta-debugging shrinker (shrink.hpp)
-// into a ready-to-paste `--fault-spec` reproducer.  Campaigns are pure
-// functions of their seed: same seed, same specs, same outcome ledger,
-// byte for byte (single-threaded drivers + 1 host worker by default).
+// into a ready-to-paste `--fault-spec` reproducer.  Same seed, same specs
+// and fault seeds; the ledger lines of metis, mt-metis, gp-metis and
+// gp-metis-multi replay byte for byte (single-threaded drivers + 1 host
+// worker by default).  parmetis lines do not: its simulated ranks race on
+// shared match state by design, so at the default 4 ranks cuts differ
+// between same-seed runs.
 #pragma once
 
 #include <cstdint>

@@ -5,65 +5,31 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/driver_harness.hpp"
 #include "hybrid/gpu_contract.hpp"
 #include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
 #include "mt/mt_partitioner.hpp"
-#include "serial/metis_partitioner.hpp"
-#include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace gp {
 
 namespace {
 
-/// Modeled cost of recovering from a device fault before a retry: the
-/// driver tears the context down and re-establishes it (cudaDeviceReset +
-/// re-init is milliseconds on real hardware).
-constexpr double kDeviceResetSeconds = 2e-3;
-
 /// Bounded GPU retries before degrading to a pure mt-metis run.
 constexpr int kMaxGpuAttempts = 3;
 
-DeviceExecStats device_exec_stats(const Device& dev) {
-  return {dev.kernels_launched(), dev.pool_hits(), dev.pool_misses(),
-          dev.pool_recycled_bytes()};
-}
-
-/// Fills the phase roll-up shared by the GPU and the fallback paths.
-/// Retried attempts' charges stay in the ledger, so degraded runs show
-/// their wasted work here.
-void fill_phase_seconds(PartitionResult& res) {
-  res.phases.transfer = res.ledger.seconds_with_prefix("transfer/");
-  res.phases.coarsen = res.ledger.seconds_with_prefix("kernel/coarsen/") +
-                       res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen =
-      res.ledger.seconds_with_prefix("kernel/uncoarsen/") +
-      res.ledger.seconds_with_prefix("uncoarsen/");
-}
-
-/// Records an audit outcome in the health tallies; returns ok().
-bool record_audit(PartitionResult& res, const AuditFailure& f) {
-  ++res.health.audits_run;
-  if (!f.ok()) {
-    ++res.health.audits_failed;
-    res.health.note("audit: " + f.to_string());
-  }
-  return f.ok();
-}
-
 /// One full GPU-coarsen / CPU-middle / GPU-uncoarsen attempt.  Throws
 /// DeviceOutOfMemory / DeviceFailure when the device gives out and
-/// AuditError when a phase-boundary invariant audit fails; the driver
-/// below owns the retry/escalation ladder.  `handoff` is the level size
+/// AuditError when a phase-boundary invariant audit fails; the ladder the
+/// driver below hands to run_driver answers them.  `handoff` is the level size
 /// at which the GPU hands the graph to the CPU engine; `force_sort_merge`
 /// is the ladder's second rung (the hash contraction is the suspect).
-void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                      GpPhaseLog* log, vid_t handoff, bool force_sort_merge,
-                      FaultInjector* injector, const Watchdog& watchdog,
-                      PartitionResult& res) {
+void gp_metis_attempt(DriverRun& run, GpPhaseLog* log, vid_t handoff,
+                      bool force_sort_merge) {
+  const CsrGraph& g = run.g;
+  const PartitionOptions& opts = run.opts;
+  PartitionResult& res = run.res;
   Device::Config dev_config;  // GTX-Titan-like simulated device
   if (opts.gpu_memory_bytes > 0) {
     dev_config.memory_bytes = opts.gpu_memory_bytes;
@@ -73,7 +39,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   }
   Device dev(dev_config);
   dev.set_ledger(&res.ledger);
-  dev.set_fault_injector(injector, 0);
+  dev.set_fault_injector(run.injector, 0);
   dev.set_cancel_token(opts.cancel);
   dev.set_leak_sink(&res.exec.pool_leaked_blocks);
 
@@ -107,14 +73,12 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                        g0.adjncy.d2h_vector() == g.adjncy() &&
                        g0.adjwgt.d2h_vector() == g.adjwgt() &&
                        g0.vwgt.d2h_vector() == g.vwgt();
-    AuditFailure f;
-    if (!clean) {
-      f.kind = AuditFailure::Kind::kCsr;
-      f.invariant = "transfer-integrity";
-      f.detail = "device copy of the input graph differs from the host "
-                 "source after upload";
-    }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    require_audit(run, clean ? AuditFailure{}
+                             : AuditFailure{AuditFailure::Kind::kCsr,
+                                            "transfer-integrity",
+                                            "device copy of the input graph "
+                                            "differs from the host source "
+                                            "after upload"});
   }
 
   // ---- 2. GPU coarsening until the threshold level ----
@@ -133,17 +97,8 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     }
     // Corruption site: one cmap entry perturbed in device memory on the
     // single-threaded host path between matching and contraction.
-    std::uint64_t material = 0;
-    if (injector && m.n_coarse > 1 && injector->corrupt_cmap(&material)) {
-      vid_t* cm = m.cmap.data();
-      const auto idx =
-          static_cast<std::size_t>(material % static_cast<std::uint64_t>(
-                                                  cur->n));
-      cm[idx] = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(cm[idx]) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
+    corrupt_cmap_entry(run.injector, m.cmap.data(),
+                       static_cast<std::size_t>(cur->n), m.n_coarse);
     if (audit != AuditLevel::kOff) {
       // Phase-boundary audit of the level's matching artifacts.  The
       // d2h copies are metered like any transfer (and are themselves
@@ -155,12 +110,11 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       if (f.ok()) {
         std::string err = validate_cmap(host_match, host_cmap, m.n_coarse);
         if (!err.empty()) {
-          f.kind = AuditFailure::Kind::kContraction;
-          f.invariant = "cmap-consistency";
-          f.detail = "gpu level " + std::to_string(lvl) + ": " + err;
+          f = {AuditFailure::Kind::kContraction, "cmap-consistency",
+               "gpu level " + std::to_string(lvl) + ": " + err};
         }
       }
-      if (!record_audit(res, f)) throw AuditError(std::move(f));
+      require_audit(run, std::move(f));
     }
     GpuContractStats cst;
     GpuGraph coarse =
@@ -174,7 +128,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       AuditFailure f = audit_contraction(
           cur->download(), coarse.download(), m.match.d2h_vector(),
           m.cmap.d2h_vector(), audit);
-      if (!record_audit(res, f)) throw AuditError(std::move(f));
+      require_audit(run, std::move(f));
     }
     gpu_levels.push_back(
         {std::move(coarse), std::move(m.cmap), cur->n});
@@ -199,25 +153,16 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     AuditFailure f = audit_csr(cpu_graph, audit);
     if (f.ok() &&
         cpu_graph.total_vertex_weight() != g.total_vertex_weight()) {
-      f.kind = AuditFailure::Kind::kContraction;
-      f.invariant = "vertex-weight-conservation";
-      f.detail = "handoff graph total vertex weight " +
-                 std::to_string(cpu_graph.total_vertex_weight()) +
-                 " != input total " +
-                 std::to_string(g.total_vertex_weight());
+      f = {AuditFailure::Kind::kContraction, "vertex-weight-conservation",
+           "handoff graph total vertex weight " +
+               std::to_string(cpu_graph.total_vertex_weight()) +
+               " != input total " + std::to_string(g.total_vertex_weight())};
     }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    require_audit(run, std::move(f));
   }
   check_cancelled(opts, "gp/cpu-middle");
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(injector);
-  MtContext mt_ctx{&pool, &res.ledger, opts.seed};
-  PartitionOptions cpu_opts = opts;
-  const MtPipelineControl mt_control{injector, &res.health, &watchdog};
-  const auto mt_out =
-      mt_multilevel_pipeline(cpu_graph, cpu_opts, mt_ctx, gpu_lvls,
-                             mt_control);
+  const MtPipelineResult mt_out =
+      mt_multilevel_pipeline(cpu_graph, run, gpu_lvls);
 
   // ---- 4. transfer the partitioned graph back; GPU uncoarsening ----
   DeviceBuffer<part_t> where_coarse(
@@ -226,14 +171,13 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   if (audit != AuditLevel::kOff) {
     // The refinement kernels index part-weight tables with these labels:
     // verify the upload before any kernel dereferences a flipped label.
-    AuditFailure f;
-    if (where_coarse.d2h_vector() != mt_out.partition.where) {
-      f.kind = AuditFailure::Kind::kPartition;
-      f.invariant = "transfer-integrity";
-      f.detail = "device copy of the coarse labels differs from the host "
-                 "source after upload";
-    }
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
+    require_audit(run, where_coarse.d2h_vector() == mt_out.partition.where
+                           ? AuditFailure{}
+                           : AuditFailure{AuditFailure::Kind::kPartition,
+                                          "transfer-integrity",
+                                          "device copy of the coarse labels "
+                                          "differs from the host source "
+                                          "after upload"});
   }
 
   // Device-resident gain cache (DESIGN.md §3.6): built once on the
@@ -246,7 +190,7 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // sums exactly, so the k-entry table survives level transitions and the
   // per-level recount kernel runs only once (inside the first refine).
   DeviceBuffer<wgt_t> gpw;
-  if (!gpu_levels.empty() && !watchdog.expired()) {
+  if (!gpu_levels.empty() && !run.watchdog.expired()) {
     const std::int64_t T0 = std::min<std::int64_t>(
         opts.gpu_threads, std::max<std::int64_t>(256, cur->n));
     gcache = GpuGainCache::build(dev, *cur, where_coarse, opts.k,
@@ -255,7 +199,8 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     gcache_valid = true;
   }
 
-  bool shed_noted = false;
+  ShedWatch gpu_shed(
+      run, "watchdog: time budget exceeded, shedding gpu refinement");
   for (std::size_t i = gpu_levels.size(); i-- > 0;) {
     check_cancelled(opts, "gp/gpu-uncoarsen");
     const vid_t fine_n = gpu_levels[i].fine_n;
@@ -266,16 +211,9 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
         opts.gpu_threads, std::max<std::int64_t>(256, fine_n));
     gpu_project(dev, gpu_levels[i].cmap, where_coarse, where_fine,
                 static_cast<int>(i), T);
-    if (watchdog.expired()) {
+    if (gpu_shed.expired()) {
       // Deadline: keep the (valid) projected partition, shed the level's
       // refinement passes, finish degraded rather than overrun.
-      if (!shed_noted) {
-        res.health.note(
-            "watchdog: time budget exceeded, shedding gpu refinement");
-        ++res.health.fallbacks;
-        res.health.degraded = true;
-        shed_noted = true;
-      }
       gcache_valid = false;  // later levels shed too; stop maintaining it
     } else {
       const std::string tag = "uncoarsen/gaincache/L" + std::to_string(i);
@@ -297,35 +235,26 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
         // Cache-vs-recompute cross-check: the refine kernels both read
         // and delta-updated the device cache, so corruption there skews
         // every later move — audit it at the same boundary as the labels.
-        AuditFailure f;
         const std::string err = gcache.compare_to_host(
             fine.download(), where_fine.d2h_vector());
-        if (!err.empty()) {
-          f.kind = AuditFailure::Kind::kGainCache;
-          f.invariant = "recompute";
-          f.detail = "gpu level " + std::to_string(i) + ": " + err;
-        }
-        if (!record_audit(res, f)) throw AuditError(std::move(f));
+        require_audit(run, err.empty()
+                               ? AuditFailure{}
+                               : AuditFailure{AuditFailure::Kind::kGainCache,
+                                              "recompute",
+                                              "gpu level " +
+                                                  std::to_string(i) + ": " +
+                                                  err});
       }
     }
     where_coarse = std::move(where_fine);
   }
 
   // ---- 5. final partition back to the host ----
-  res.partition.k = opts.k;
-  res.partition.where = where_coarse.d2h_vector();
-
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     /*expected_cut=*/-1, audit);
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
-  }
-
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
+  finish_partition(run, {opts.k, where_coarse.d2h_vector()});
   res.coarsen_levels = gpu_lvls + mt_out.levels;
   res.coarsest_vertices = mt_out.coarsest_vertices;
-  res.exec += device_exec_stats(dev);
+  res.exec += DeviceExecStats{dev.kernels_launched(), dev.pool_hits(),
+                              dev.pool_misses(), dev.pool_recycled_bytes()};
 
   if (log) {
     log->gpu_coarsen_levels = gpu_lvls;
@@ -337,184 +266,81 @@ void gp_metis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   }
 }
 
-/// Third rung of the ladder: the whole multilevel pipeline on the CPU
-/// engine (exactly what GP-metis already does below the threshold level,
-/// applied to the entire graph).  Charges land in the same ledger, after
-/// whatever the failed GPU attempts already spent.
-void pure_cpu_fallback(const CsrGraph& g, const PartitionOptions& opts,
-                       GpPhaseLog* log, const MtPipelineControl& control,
-                       PartitionResult& res) {
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(control.injector);
-  MtContext ctx{&pool, &res.ledger, opts.seed};
-  auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-  res.partition = std::move(out.partition);
-  res.partition.k = opts.k;
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  if (opts.audit_level != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     opts.audit_level);
-    if (!record_audit(res, f)) throw AuditError(std::move(f));
-  }
-  res.coarsen_levels = out.levels;
-  res.coarsest_vertices = out.coarsest_vertices;
-  if (log) {
-    log->gpu_coarsen_levels = 0;
-    log->cpu_levels = out.levels;
-    log->handoff_vertices = g.num_vertices();
-  }
-}
-
 }  // namespace
 
 PartitionResult gp_metis_run(const CsrGraph& g, const PartitionOptions& opts,
                              GpPhaseLog* log) {
-  validate_options(g, opts);
-  WallTimer wall;
-  PartitionResult res;
-  const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-
   vid_t handoff = std::max<vid_t>(opts.gpu_cpu_threshold,
                                   opts.coarsen_target());
-  bool gpu_ok = false;
   bool force_sort_merge = false;
-  int audit_failures = 0;
   int attempts = 0;
-  while (!gpu_ok && attempts < kMaxGpuAttempts) {
-    if (log) {
-      const int kept_attempts = attempts;
-      *log = GpPhaseLog{};  // a failed attempt's partial trail is stale
-      log->attempts = kept_attempts;
-    }
+  bool gpu_ok = false;
+  DriverSpec spec;
+  spec.attempt = [&](DriverRun& run) {
     ++attempts;
-    try {
-      gp_metis_attempt(g, opts, log, handoff, force_sort_merge,
-                       injector.get(), watchdog, res);
-      gpu_ok = true;
-    } catch (const DeviceOutOfMemory& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      // Shrink the device working set by handing off to the CPU earlier.
-      // Once the handoff covers the whole graph the GPU does no level at
-      // all, so further retries cannot help — degrade to pure CPU.
-      if (handoff >= g.num_vertices()) {
-        res.health.note(std::string("gp-metis: OOM with nothing left on the "
-                                    "GPU (") + e.what() + ")");
-        break;
-      }
-      const vid_t raised = handoff > g.num_vertices() / 4
-                               ? g.num_vertices()
-                               : handoff * 4;
-      res.health.note("gp-metis: OOM (" + std::string(e.what()) +
-                      "); retrying with CPU handoff at " +
-                      std::to_string(raised) + " vertices");
-      log_warn("gp-metis: device OOM, raising CPU handoff %d -> %d",
-               handoff, raised);
-      handoff = raised;
-    } catch (const DeviceFailure& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      res.health.note("gp-metis: device failure (" + std::string(e.what()) +
-                      "); retrying");
-      log_warn("gp-metis: device failure, retrying (attempt %d): %s",
-               attempts, e.what());
-    } catch (const ThreadPoolTaskError& e) {
-      // A CPU-phase task threw (injected `task` fault).  The attempt's
-      // buffers unwound cleanly, so retry the whole attempt like a
-      // transient device failure; occurrence counters keep advancing, so
-      // a one-shot rule cannot refire.
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/task-restart", kDeviceResetSeconds);
-      res.health.note("gp-metis: pool task fault (" + std::string(e.what()) +
-                      "); retrying");
-      log_warn("gp-metis: pool task fault, retrying (attempt %d): %s",
-               attempts, e.what());
-    } catch (const AuditError& e) {
-      // Escalation ladder for silent corruption: re-execute, then swap
-      // the hash contraction for sort-merge, then leave the GPU.
-      ++audit_failures;
-      res.health.rollbacks += 1;
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      if (watchdog.expired()) {
-        res.health.note(std::string("gp-metis: audit failed (") + e.what() +
-                        ") with the time budget exhausted; leaving the GPU");
-        break;
-      }
-      if (audit_failures == 1) {
-        res.health.note(std::string("gp-metis: audit failed (") + e.what() +
-                        "); rolling the attempt back and retrying");
-      } else if (opts.gpu_hash_contraction && !force_sort_merge) {
-        force_sort_merge = true;
-        res.health.note(std::string("gp-metis: audit failed again (") +
-                        e.what() +
-                        "); escalating to sort-merge contraction");
-      } else {
-        res.health.note(std::string("gp-metis: audit failed on the "
-                                    "sort-merge rung (") +
-                        e.what() + "); leaving the GPU");
-        break;
-      }
-    }
-  }
-  if (!gpu_ok) {
-    res.health.fallbacks += 1;
-    res.health.degraded = true;
-    res.health.note("gp-metis: GPU attempts exhausted; degrading to a pure "
-                    "mt-metis run");
-    log_warn("gp-metis: degrading to pure mt-metis after %d GPU attempts",
-             attempts);
-    if (log) *log = GpPhaseLog{};
-    const MtPipelineControl control{injector.get(), &res.health, &watchdog};
-    try {
-      pure_cpu_fallback(g, opts, log, control, res);
-    } catch (const AuditError& e) {
-      // Terminal rung: whole-run serial fallback with corruption
-      // injection suppressed, so convergence is guaranteed even under
-      // probabilistic corruption rules.
-      res.health.rollbacks += 1;
-      res.health.fallbacks += 1;
-      res.health.note(std::string("gp-metis: CPU phase failed audit (") +
-                      e.what() +
-                      "); whole-run serial fallback with corruption "
-                      "suppressed");
-      if (injector) injector->set_corruption_suppressed(true);
-      PartitionOptions serial_opts = opts;
-      serial_opts.fault_spec.clear();  // the terminal engine runs clean
-      PartitionResult serial_res =
-          SerialMetisPartitioner().run(g, serial_opts);
-      res.partition = std::move(serial_res.partition);
-      res.cut = serial_res.cut;
-      res.balance = serial_res.balance;
-      res.coarsen_levels = serial_res.coarsen_levels;
-      res.coarsest_vertices = serial_res.coarsest_vertices;
-      res.health.audits_run += serial_res.health.audits_run;
-      res.health.audits_failed += serial_res.health.audits_failed;
-      res.ledger.merge("", serial_res.ledger);
-      if (log) {
-        *log = GpPhaseLog{};
-        log->cpu_levels = serial_res.coarsen_levels;
-        log->handoff_vertices = g.num_vertices();
-        log->cpu_fallback = true;
-      }
-    }
-  }
-  if (injector) injector->report_into(res.health);
+    if (log) *log = GpPhaseLog{};  // a failed attempt's partial trail is stale
+    gp_metis_attempt(run, log, handoff, force_sort_merge);
+    gpu_ok = true;
+  };
+  DriverLadder& ladder = spec.ladder;
+  ladder.can_attempt = [&] { return attempts < kMaxGpuAttempts; };
+  ladder.mt_rung_note =
+      "gp-metis: GPU attempts exhausted; degrading to a pure mt-metis run";
+  ladder.serial_rung_head = "gp-metis: CPU phase failed audit";
+  // Silent corruption: re-execute, then swap the hash contraction for
+  // sort-merge, then leave the GPU.
+  ladder.row(Failure::kAudit) = {
+      .steps = {{.note = "gp-metis: audit failed ({}); rolling the attempt "
+                         "back and retrying"},
+                {.adjust = [&](const std::exception& e)
+                     -> std::optional<std::string> {
+                   if (!opts.gpu_hash_contraction || force_sort_merge) {
+                     return std::nullopt;
+                   }
+                   force_sort_merge = true;
+                   return std::string("gp-metis: audit failed again (") +
+                          e.what() + "); escalating to sort-merge contraction";
+                 }},
+                {.verdict = LadderStep::kNextRung,
+                 .note = "gp-metis: audit failed on the sort-merge rung ({}); "
+                         "leaving the GPU"}},
+      .rollback = true,
+      .gpu_retry = true,
+      .reset_label = "fault/device-reset",
+      .spent_note = "gp-metis: audit failed ({}) with the time budget "
+                    "exhausted; leaving the GPU"};
+  // A CPU-phase task fault unwound the attempt's buffers cleanly: retry
+  // like a transient device failure.
+  ladder.row(Failure::kTask) = {
+      .steps = {{.note = "gp-metis: pool task fault ({}); retrying",
+                 .times = kAlways}},
+      .gpu_retry = true,
+      .reset_label = "fault/task-restart"};
+  ladder.row(Failure::kDeviceLost) = {
+      .steps = {{.note = "gp-metis: device failure ({}); retrying",
+                 .times = kAlways}},
+      .gpu_retry = true,
+      .reset_label = "fault/device-reset"};
+  // Shrink the device working set by handing off to the CPU earlier; once
+  // the handoff covers the whole graph retries cannot help.
+  ladder.row(Failure::kDeviceOom) = {
+      .steps = {raise_handoff_step("gp-metis", handoff, g.num_vertices(),
+                                   kAlways),
+                {.verdict = LadderStep::kNextRung,
+                 .note = "gp-metis: OOM with nothing left on the GPU ({})"}},
+      .gpu_retry = true,
+      .reset_label = "fault/device-reset"};
+
+  PartitionResult res = run_driver(g, opts, spec);
   if (log) {
+    if (!gpu_ok) {
+      *log = GpPhaseLog{};
+      log->cpu_levels = res.coarsen_levels;
+      log->handoff_vertices = g.num_vertices();
+    }
     log->attempts = attempts;
     log->cpu_fallback = !gpu_ok;
   }
-  fill_phase_seconds(res);
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.wall_seconds = wall.seconds();
   return res;
 }
 

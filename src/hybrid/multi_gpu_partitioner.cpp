@@ -4,17 +4,16 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/driver_harness.hpp"
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
 #include "gpu/scan.hpp"
 #include "mt/mt_partitioner.hpp"
-#include "serial/metis_partitioner.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace gp {
 
@@ -105,10 +104,6 @@ struct HostMoveRequest {
   wgt_t  gain;
 };
 
-/// Modeled cost of tearing down and re-establishing the device contexts
-/// after a fault, before the vertex blocks are redistributed.
-constexpr double kDeviceResetSeconds = 2e-3;
-
 /// Bounded OOM retries (each raises the CPU handoff) before the run
 /// degrades to a pure mt-metis fallback.
 constexpr int kMaxOomRetries = 2;
@@ -117,41 +112,14 @@ constexpr int kMaxOomRetries = 2;
 /// listed in `phys`.  Throws DeviceOutOfMemory / DeviceFailure (tagged
 /// with the physical device id); the driver below owns the
 /// redistribution / retry / fallback policy.
-void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                       MultiGpuLog* log, const std::vector<int>& phys,
-                       vid_t handoff, FaultInjector* injector,
-                       const Watchdog& watchdog, PartitionResult& res) {
+void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
+                       const std::vector<int>& phys, vid_t handoff) {
+  const CsrGraph& g = run.g;
+  const PartitionOptions& opts = run.opts;
+  PartitionResult& res = run.res;
   const int D = static_cast<int>(phys.size());
   const AuditLevel audit = opts.audit_level;
-  // Tallies the audit and, on failure, logs + throws for the driver's
-  // retry ladder (the distributed shard state has no cheaper recovery
-  // unit than the attempt).
-  auto require_audit = [&](AuditFailure f) {
-    ++res.health.audits_run;
-    if (f.ok()) return;
-    ++res.health.audits_failed;
-    res.health.note("audit: " + f.to_string());
-    throw AuditError(std::move(f));
-  };
-  auto audit_failure = [](AuditFailure::Kind kind, std::string invariant,
-                          std::string detail) {
-    AuditFailure f;
-    f.kind = kind;
-    f.invariant = std::move(invariant);
-    f.detail = std::move(detail);
-    return f;
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!watchdog.expired()) return false;
-    if (!shed_noted) {
-      res.health.note("watchdog: time budget exceeded, shedding refinement");
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
+  ShedWatch shed(run);
 
   // One simulated device per GPU, each with its own ledger so stages can
   // be rolled up as max-over-devices.
@@ -163,7 +131,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   for (int d = 0; d < D; ++d) {
     devices.push_back(std::make_unique<Device>(dc));
     devices.back()->set_ledger(&dev_ledgers[static_cast<std::size_t>(d)]);
-    devices.back()->set_fault_injector(injector,
+    devices.back()->set_fault_injector(run.injector,
                                        phys[static_cast<std::size_t>(d)]);
     devices.back()->set_cancel_token(opts.cancel);
     devices.back()->set_leak_sink(&res.exec.pool_leaked_blocks);
@@ -212,13 +180,13 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                            s.adjncy.d2h_vector() == s.h_adjncy &&
                            s.adjwgt.d2h_vector() == s.h_adjwgt &&
                            s.vwgt.d2h_vector() == s.h_vwgt;
-        require_audit(clean ? AuditFailure{}
-                            : audit_failure(
-                                  AuditFailure::Kind::kCsr,
-                                  "transfer-integrity",
-                                  tag + ": device shard of gpu " +
-                                      std::to_string(d) +
-                                      " differs from host source"));
+        require_audit(run, clean ? AuditFailure{}
+                                 : AuditFailure{AuditFailure::Kind::kCsr,
+                                                "transfer-integrity",
+                                                tag + ": device shard of gpu " +
+                                                    std::to_string(d) +
+                                                    " differs from host "
+                                                    "source"});
       }
     }
     return shards;
@@ -397,16 +365,15 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
           AuditFailure f;
           for (const vid_t c : cur.cmaps[static_cast<std::size_t>(d)]) {
             if (c < 0 || c >= nc) {
-              f = audit_failure(
-                  AuditFailure::Kind::kContraction, "cmap-range",
-                  "gpu " + std::to_string(d) + " level " +
-                      std::to_string(lvl) + ": coarse map entry " +
-                      std::to_string(c) + " outside [0, " +
-                      std::to_string(nc) + ")");
+              f = {AuditFailure::Kind::kContraction, "cmap-range",
+                   "gpu " + std::to_string(d) + " level " +
+                       std::to_string(lvl) + ": coarse map entry " +
+                       std::to_string(c) + " outside [0, " +
+                       std::to_string(nc) + ")"};
               break;
             }
           }
-          require_audit(std::move(f));
+          require_audit(run, std::move(f));
         }
       }
     }
@@ -685,14 +652,15 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
                               cs.adjwgt.d2h_vector() == cs.h_adjwgt) &&
                              (cs.h_vwgt.empty() ||
                               cs.vwgt.d2h_vector() == cs.h_vwgt);
-          require_audit(clean
-                            ? AuditFailure{}
-                            : audit_failure(
-                                  AuditFailure::Kind::kCsr,
-                                  "transfer-integrity",
-                                  "coarse shard of gpu " + std::to_string(d) +
-                                      " at level " + std::to_string(lvl) +
-                                      " differs from host source"));
+          require_audit(run, clean ? AuditFailure{}
+                                   : AuditFailure{AuditFailure::Kind::kCsr,
+                                                  "transfer-integrity",
+                                                  "coarse shard of gpu " +
+                                                      std::to_string(d) +
+                                                      " at level " +
+                                                      std::to_string(lvl) +
+                                                      " differs from host "
+                                                      "source"});
         }
         next.shards[static_cast<std::size_t>(d)] = std::move(cs);
       }
@@ -709,15 +677,15 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
       for (const auto& s : next.shards)
         for (const wgt_t w : s.h_vwgt) coarse_w += w;
       require_audit(
-          fine_w == coarse_w
-              ? AuditFailure{}
-              : audit_failure(AuditFailure::Kind::kContraction,
-                              "vertex-weight-conservation",
-                              "level " + std::to_string(lvl) +
-                                  ": fine shards weigh " +
-                                  std::to_string(fine_w) +
-                                  ", coarse shards weigh " +
-                                  std::to_string(coarse_w)));
+          run, fine_w == coarse_w
+                   ? AuditFailure{}
+                   : AuditFailure{AuditFailure::Kind::kContraction,
+                                  "vertex-weight-conservation",
+                                  "level " + std::to_string(lvl) +
+                                      ": fine shards weigh " +
+                                      std::to_string(fine_w) +
+                                      ", coarse shards weigh " +
+                                      std::to_string(coarse_w)});
     }
 
     // Free the fine shards' device copies except level-0... keep all for
@@ -760,30 +728,25 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
   // so it is the last place a corrupted coarsening can be caught before
   // it silently shapes the initial partition.
   if (audit != AuditLevel::kOff) {
-    require_audit(audit_csr(cpu_graph, audit));
+    require_audit(run, audit_csr(cpu_graph, audit));
     wgt_t handoff_w = 0;
     for (vid_t v = 0; v < cpu_graph.num_vertices(); ++v) {
       handoff_w += cpu_graph.vertex_weight(v);
     }
     require_audit(
-        handoff_w == g.total_vertex_weight()
-            ? AuditFailure{}
-            : audit_failure(AuditFailure::Kind::kContraction,
-                            "handoff-weight",
-                            "gathered coarse graph weighs " +
-                                std::to_string(handoff_w) +
-                                ", input weighs " +
-                                std::to_string(g.total_vertex_weight())));
+        run, handoff_w == g.total_vertex_weight()
+                 ? AuditFailure{}
+                 : AuditFailure{AuditFailure::Kind::kContraction,
+                                "handoff-weight",
+                                "gathered coarse graph weighs " +
+                                    std::to_string(handoff_w) +
+                                    ", input weighs " +
+                                    std::to_string(g.total_vertex_weight())});
   }
 
   check_cancelled(opts, "multi/cpu-middle");
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  pool.set_fault_injector(injector);
-  MtContext mt_ctx{&pool, &res.ledger, opts.seed};
-  const MtPipelineControl mt_control{injector, &res.health, &watchdog};
-  const auto mt_out =
-      mt_multilevel_pipeline(cpu_graph, opts, mt_ctx, gpu_lvls, mt_control);
+  const MtPipelineResult mt_out =
+      mt_multilevel_pipeline(cpu_graph, run, gpu_lvls);
 
   // ---- uncoarsening: host-authoritative labels, device proposals ----
   std::vector<part_t> where = mt_out.partition.where;  // coarse level
@@ -831,7 +794,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // Past the deadline, projection still runs (correctness) but the
     // propose/replay passes are shed — the partition stays valid, just
     // less refined.
-    if (watchdog_expired()) continue;
+    if (shed.expired()) continue;
 
     // Refinement: devices propose, host replays.
     std::vector<wgt_t> pw(static_cast<std::size_t>(opts.k), 0);
@@ -957,16 +920,7 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
   // Roll the per-device ledgers' leftover entries are already reflected
   // through ConcurrentStage charges; assemble results.
-  res.partition.k = opts.k;
-  res.partition.where = std::move(where);
-  // Final audit gates the metric computations: a corrupted label would
-  // index the per-part accumulators out of bounds inside edge_cut.
-  if (audit != AuditLevel::kOff) {
-    require_audit(audit_partition(g, res.partition, opts.k, opts.eps,
-                                  /*expected_cut=*/-1, audit));
-  }
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
+  finish_partition(run, {opts.k, std::move(where)});
   res.coarsen_levels = gpu_lvls + mt_out.levels;
   res.coarsest_vertices = mt_out.coarsest_vertices;
   for (const auto& dev : devices) {
@@ -990,176 +944,80 @@ void multi_gpu_attempt(const CsrGraph& g, const PartitionOptions& opts,
 
 PartitionResult multi_gpu_run(const CsrGraph& g, const PartitionOptions& opts,
                               MultiGpuLog* log) {
-  validate_options(g, opts);
-  WallTimer wall;
-  PartitionResult res;
-  const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-
   // Surviving physical devices.  A lost device is excluded and the vertex
   // blocks are redistributed over the remainder — the vtxdist rebuild at
   // the top of the attempt IS the redistribution (per-device blocks are
   // recomputed over the survivors).
   std::vector<int> phys(static_cast<std::size_t>(std::max(1, opts.gpu_devices)));
   std::iota(phys.begin(), phys.end(), 0);
-
   vid_t handoff =
       std::max<vid_t>(opts.gpu_cpu_threshold, opts.coarsen_target());
-  const int max_attempts =
-      static_cast<int>(phys.size()) + kMaxOomRetries + 1;
-  bool gpu_ok = false;
   int attempts = 0;
-  int oom_retries = 0;
-  int audit_failures = 0;
-  while (!gpu_ok && !phys.empty() && attempts < max_attempts) {
-    if (log) *log = MultiGpuLog{};
+  bool gpu_ok = false;
+  DriverSpec spec;
+  spec.attempt = [&](DriverRun& run) {
     ++attempts;
-    try {
-      multi_gpu_attempt(g, opts, log, phys, handoff, injector.get(), watchdog,
-                        res);
-      gpu_ok = true;
-    } catch (const AuditError& e) {
-      // Without an injector an audit failure is a genuine logic bug —
-      // never mask it behind a fallback.
-      if (!injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.gpu_retries;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      if (++audit_failures == 1) {
-        res.health.note(
-            "rollback: gp-metis-multi attempt restarted after failed audit (" +
-            std::string(e.what()) + ")");
-        log_warn("gp-metis-multi: audit failed, restarting attempt: %s",
-                 e.what());
-      } else {
-        res.health.note("gp-metis-multi: repeated audit failure (" +
-                        std::string(e.what()) +
-                        "); abandoning the GPU path");
-        log_warn("gp-metis-multi: repeated audit failure, degrading: %s",
-                 e.what());
-        break;
-      }
-    } catch (const DeviceFailure& e) {
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      const auto it = std::find(phys.begin(), phys.end(), e.device_id());
-      if (it != phys.end()) phys.erase(it);
-      res.health.note("gp-metis-multi: device " +
-                      std::to_string(e.device_id()) + " failed (" + e.what() +
-                      "); redistributing over " +
-                      std::to_string(phys.size()) + " surviving device(s)");
-      log_warn("gp-metis-multi: lost device %d, %zu survive: %s",
-               e.device_id(), phys.size(), e.what());
-    } catch (const ThreadPoolTaskError& e) {
-      // Injected `task` fault in a CPU phase: the attempt unwound at a
-      // job boundary, so restart it like a transient device failure (one
-      // rung — a second throw abandons the GPU path for the CPU ladder).
-      ++res.health.gpu_retries;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/task-restart", kDeviceResetSeconds);
-      if (++audit_failures > 1) {
-        res.health.note("gp-metis-multi: repeated pool task fault (" +
-                        std::string(e.what()) +
-                        "); abandoning the GPU path");
-        break;
-      }
-      res.health.note("gp-metis-multi: pool task fault (" +
-                      std::string(e.what()) + "); restarting attempt");
-      log_warn("gp-metis-multi: pool task fault, restarting attempt: %s",
-               e.what());
-    } catch (const DeviceOutOfMemory& e) {
-      res.health.gpu_retries += 1;
-      res.health.degraded = true;
-      res.ledger.charge_raw("fault/device-reset", kDeviceResetSeconds);
-      if (++oom_retries > kMaxOomRetries || handoff >= g.num_vertices()) {
-        res.health.note("gp-metis-multi: OOM retries exhausted (" +
-                        std::string(e.what()) + ")");
-        break;
-      }
-      const vid_t raised = handoff > g.num_vertices() / 4
-                               ? g.num_vertices()
-                               : handoff * 4;
-      res.health.note("gp-metis-multi: OOM (" + std::string(e.what()) +
-                      "); retrying with CPU handoff at " +
-                      std::to_string(raised) + " vertices");
-      log_warn("gp-metis-multi: device OOM, raising CPU handoff %d -> %d",
-               handoff, raised);
-      handoff = raised;
-    }
-  }
-  if (!gpu_ok) {
-    res.health.fallbacks += 1;
-    res.health.degraded = true;
-    res.health.note("gp-metis-multi: no usable GPU path; degrading to a "
-                    "pure mt-metis run");
-    log_warn("gp-metis-multi: degrading to pure mt-metis after %d attempts",
-             attempts);
     if (log) *log = MultiGpuLog{};
-    try {
-      ThreadPool pool(opts.threads);
-      pool.set_cancel_token(opts.cancel);
-      pool.set_fault_injector(injector.get());
-      MtContext ctx{&pool, &res.ledger, opts.seed};
-      const MtPipelineControl control{injector.get(), &res.health, &watchdog};
-      auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-      res.partition = std::move(out.partition);
-      res.partition.k = opts.k;
-      if (opts.audit_level != AuditLevel::kOff) {
-        ++res.health.audits_run;
-        AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                         /*expected_cut=*/-1,
-                                         opts.audit_level);
-        if (!f.ok()) {
-          ++res.health.audits_failed;
-          res.health.note("audit: " + f.to_string());
-          throw AuditError(std::move(f));
-        }
-      }
-      res.cut = edge_cut(g, res.partition);
-      res.balance = partition_balance(g, res.partition);
-      res.coarsen_levels = out.levels;
-      res.coarsest_vertices = out.coarsest_vertices;
-    } catch (const AuditError& e) {
-      if (!injector) throw;
-      // Terminal rung: serial reference implementation with corruption
-      // suppressed — guaranteed to converge under probabilistic rules.
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note("gp-metis-multi: CPU fallback failed audit (" +
-                      std::string(e.what()) +
-                      "); whole-run serial fallback with corruption "
-                      "suppressed");
-      injector->set_corruption_suppressed(true);
-      PartitionOptions serial_opts = opts;
-      serial_opts.fault_spec.clear();
-      PartitionResult serial_res = SerialMetisPartitioner().run(g, serial_opts);
-      res.partition = std::move(serial_res.partition);
-      res.cut = serial_res.cut;
-      res.balance = serial_res.balance;
-      res.coarsen_levels = serial_res.coarsen_levels;
-      res.coarsest_vertices = serial_res.coarsest_vertices;
-      res.health.audits_run += serial_res.health.audits_run;
-      res.health.audits_failed += serial_res.health.audits_failed;
-      res.ledger.merge("", serial_res.ledger);
-    }
-  }
-  if (injector) injector->report_into(res.health);
+    multi_gpu_attempt(run, log, phys, handoff);
+    gpu_ok = true;
+  };
+  DriverLadder& ladder = spec.ladder;
+  const int max_attempts = static_cast<int>(phys.size()) + kMaxOomRetries + 1;
+  ladder.can_attempt = [&] {
+    return !phys.empty() && attempts < max_attempts;
+  };
+  ladder.mt_rung_note =
+      "gp-metis-multi: no usable GPU path; degrading to a pure mt-metis run";
+  ladder.serial_rung_head = "gp-metis-multi: CPU fallback failed audit";
+  // Audit failures and injected `task` faults (the attempt unwound at a
+  // job boundary) share one restart; a second abandons the GPU path.
+  ladder.shared_restarts = true;
+  ladder.row(Failure::kAudit) = {
+      .steps = {{.note = "rollback: gp-metis-multi attempt restarted after "
+                         "failed audit ({})"},
+                {.verdict = LadderStep::kNextRung,
+                 .note = "gp-metis-multi: repeated audit failure ({}); "
+                         "abandoning the GPU path"}},
+      .rollback = true,
+      .gpu_retry = true,
+      .reset_label = "fault/device-reset"};
+  ladder.row(Failure::kTask) = {
+      .steps = {{.note = "gp-metis-multi: pool task fault ({}); restarting "
+                         "attempt"},
+                {.verdict = LadderStep::kNextRung,
+                 .note = "gp-metis-multi: repeated pool task fault ({}); "
+                         "abandoning the GPU path"}},
+      .gpu_retry = true,
+      .reset_label = "fault/task-restart"};
+  ladder.row(Failure::kDeviceLost) = {
+      .steps = {{.times = kAlways,
+                 .adjust = [&](const std::exception& e)
+                     -> std::optional<std::string> {
+                   const int id =
+                       static_cast<const DeviceFailure&>(e).device_id();
+                   const auto it = std::find(phys.begin(), phys.end(), id);
+                   if (it != phys.end()) phys.erase(it);
+                   return "gp-metis-multi: device " + std::to_string(id) +
+                          " failed (" + e.what() + "); redistributing over " +
+                          std::to_string(phys.size()) +
+                          " surviving device(s)";
+                 }}},
+      .reset_label = "fault/device-reset"};
+  ladder.row(Failure::kDeviceOom) = {
+      .steps = {raise_handoff_step("gp-metis-multi", handoff,
+                                   g.num_vertices(), kMaxOomRetries),
+                {.verdict = LadderStep::kNextRung,
+                 .note = "gp-metis-multi: OOM retries exhausted ({})"}},
+      .gpu_retry = true,
+      .reset_label = "fault/device-reset"};
+
+  PartitionResult res = run_driver(g, opts, spec);
   if (log) {
+    if (!gpu_ok) *log = MultiGpuLog{};
     log->attempts = attempts;
     log->cpu_fallback = !gpu_ok;
     log->devices_lost = static_cast<int>(res.health.devices_lost);
   }
-  res.phases.transfer = res.ledger.seconds_with_prefix("transfer/");
-  res.phases.coarsen = res.ledger.seconds_with_prefix("kernel/coarsen/") +
-                       res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen =
-      res.ledger.seconds_with_prefix("kernel/uncoarsen/") +
-      res.ledger.seconds_with_prefix("uncoarsen/");
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.wall_seconds = wall.seconds();
   return res;
 }
 

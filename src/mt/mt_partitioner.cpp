@@ -4,19 +4,22 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/driver_harness.hpp"
+#include "mt/mt_context.hpp"
 #include "mt/mt_contract.hpp"
 #include "mt/mt_initpart.hpp"
 #include "mt/mt_matching.hpp"
 #include "mt/mt_refine.hpp"
-#include "util/timer.hpp"
 
 namespace gp {
 
-MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
-                                        const PartitionOptions& opts,
-                                        const MtContext& ctx,
-                                        int level_offset,
-                                        const MtPipelineControl& control) {
+MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g, DriverRun& run,
+                                        int level_offset) {
+  const PartitionOptions& opts = run.opts;
+  ThreadPool pool(opts.threads);
+  pool.set_cancel_token(opts.cancel);
+  pool.set_fault_injector(run.injector);
+  const MtContext ctx{&pool, &run.res.ledger, opts.seed};
   struct Level {
     CsrGraph graph;
     std::vector<vid_t> cmap;
@@ -24,28 +27,8 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
   std::vector<Level> levels;
 
   const AuditLevel audit = opts.audit_level;
-  RunHealth* health = control.health;
-  auto run_audit = [&](const AuditFailure& f) {
-    if (health) {
-      ++health->audits_run;
-      if (!f.ok()) {
-        ++health->audits_failed;
-        health->note("audit: " + f.to_string());
-      }
-    }
-    return f.ok();
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!control.watchdog || !control.watchdog->expired()) return false;
-    if (!shed_noted && health) {
-      health->note("watchdog: time budget exceeded, shedding refinement");
-      ++health->fallbacks;
-      health->degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
+  RunHealth& health = run.res.health;
+  ShedWatch shed(run);
   // Gain cache carried across the V-cycle (DESIGN.md §3.6): built in
   // parallel on the coarsest graph, kept exact by the refiner's delta
   // replay, projected (not rebuilt) at each uncoarsening level.
@@ -78,39 +61,34 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
   /// (already audited) checkpoint and drops the level's refinement.
   auto guarded_refine = [&](const CsrGraph& graph, Partition& part,
                             int level) {
-    if (watchdog_expired()) {
+    if (shed.expired()) {
       cache_valid = false;  // later levels shed too; stop maintaining it
       return;
     }
-    if (audit == AuditLevel::kOff) {
-      ensure_cache(graph, part, level);
-      mt_refine(graph, part, opts.eps, opts.refine_passes, ctx, level,
-                /*cut_stats=*/false, &gain_cache);
-      return;
-    }
-    const std::vector<part_t> checkpoint = part.where;
+    std::vector<part_t> checkpoint;
+    if (audit != AuditLevel::kOff) checkpoint = part.where;
     for (int attempt = 0; attempt < 2; ++attempt) {
       ensure_cache(graph, part, level);
       mt_refine(graph, part, opts.eps, opts.refine_passes, ctx, level,
                 /*cut_stats=*/false, &gain_cache);
-      bool ok = run_audit(audit_partition(graph, part, opts.k, /*eps=*/0.0,
-                                          /*expected_cut=*/-1, audit));
+      if (audit == AuditLevel::kOff) return;
+      bool ok = record_audit(
+          run, audit_partition(graph, part, opts.k, /*eps=*/0.0,
+                               /*expected_cut=*/-1, audit));
       if (ok && audit == AuditLevel::kParanoid) {
         // Cache-vs-recompute cross-check at the same boundary as the
         // partition audit: the cache fed every gain this level.
-        ok = run_audit(
-            audit_gain_cache(graph, part.where, gain_cache, audit));
+        ok = record_audit(
+            run, audit_gain_cache(graph, part.where, gain_cache, audit));
       }
       if (ok) return;
-      if (health) {
-        ++health->rollbacks;
-        health->degraded = true;
-        health->note(attempt == 0
-                         ? "rollback: refine/L" + std::to_string(level) +
-                               " restored from checkpoint, retrying"
-                         : "rollback: refine/L" + std::to_string(level) +
-                               " dropped, keeping checkpoint");
-      }
+      ++health.rollbacks;
+      health.degraded = true;
+      health.note(attempt == 0
+                      ? "rollback: refine/L" + std::to_string(level) +
+                            " restored from checkpoint, retrying"
+                      : "rollback: refine/L" + std::to_string(level) +
+                            " dropped, keeping checkpoint");
       part.where = checkpoint;
       cache_valid = false;  // rebuilt against the restored labels
     }
@@ -128,52 +106,20 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
     }
     // Corruption site: one cmap entry perturbed on the single-threaded
     // path between matching and contraction (`cmap@N` / `cmap:p=` rules).
-    std::uint64_t material = 0;
-    if (control.injector && m.n_coarse > 1 &&
-        control.injector->corrupt_cmap(&material)) {
-      auto& slot = m.cmap[static_cast<std::size_t>(material % m.cmap.size())];
-      slot = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(slot) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
+    corrupt_cmap_entry(run.injector, m.cmap.data(), m.cmap.size(),
+                       m.n_coarse);
     if (audit != AuditLevel::kOff) {
-      AuditFailure mf = audit_matching(m.match, audit);
-      if (!run_audit(mf)) {
-        // A damaged match has no cheaper recovery unit than the level's
-        // inputs, which we no longer have: the run-level ladder restarts.
-        throw AuditError(std::move(mf));
-      }
+      // A damaged match has no cheaper recovery unit than the level's
+      // inputs, which we no longer have: the run-level ladder restarts.
+      require_audit(run, audit_matching(m.match, audit));
     }
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (attempt == 1) {
-        // Roll the level back: rebuild the cmap from the audited match
-        // with the serial reference rule, then re-contract serially.
-        if (health) {
-          ++health->rollbacks;
-          health->degraded = true;
-          health->note("rollback: coarsen/L" + std::to_string(lvl) +
-                       " re-contracted from rebuilt cmap");
-        }
-        auto rebuilt = build_cmap_serial(m.match);
-        m.cmap = std::move(rebuilt.first);
-        m.n_coarse = rebuilt.second;
-      }
-      CsrGraph coarse = (attempt == 0)
-                            ? mt_contract(*cur, m, ctx, lvl)
-                            : contract_serial(*cur, m.match, m.cmap,
-                                              m.n_coarse);
-      if (audit != AuditLevel::kOff) {
-        AuditFailure f = audit_contraction(*cur, coarse, m.match, m.cmap,
-                                           audit);
-        if (!run_audit(f)) {
-          if (attempt == 1) throw AuditError(std::move(f));
-          continue;
-        }
-      }
-      levels.push_back({std::move(coarse), std::move(m.cmap)});
-      break;
-    }
+    CsrGraph coarse = contract_level(
+        run, *cur, m, lvl, [&](bool reference) {
+          return reference
+                     ? contract_serial(*cur, m.match, m.cmap, m.n_coarse)
+                     : mt_contract(*cur, m, ctx, lvl);
+        });
+    levels.push_back({std::move(coarse), std::move(m.cmap)});
     cur = &levels.back().graph;
     ++lvl;
   }
@@ -186,9 +132,8 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
   Partition p =
       mt_initial_partition(*cur, opts.k, opts.eps, ctx, opts.init_trials);
   if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
-                                     /*expected_cut=*/-1, audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
+    require_audit(run, audit_partition(*cur, p, opts.k, /*eps=*/0.0,
+                                       /*expected_cut=*/-1, audit));
   }
   guarded_refine(*cur, p, lvl);
 
@@ -217,7 +162,7 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
     // vertices with an interior coarse parent inherit id/ed with no
     // table work.  The coarse cache is read-only here, the fine cache's
     // vertex ranges are disjoint per thread.
-    if (cache_valid && !watchdog_expired()) {
+    if (cache_valid && !shed.expired()) {
       GainCache fine_cache;
       fine_cache.init(fine, opts.k);
       std::vector<std::uint64_t> pwork(
@@ -240,9 +185,8 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
     }
     p.where = std::move(fine_where);
     if (audit != AuditLevel::kOff) {
-      AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
-                                       /*expected_cut=*/-1, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
+      require_audit(run, audit_partition(fine, p, opts.k, /*eps=*/0.0,
+                                         /*expected_cut=*/-1, audit));
     }
     guarded_refine(fine, p, static_cast<int>(level_offset + i));
   }
@@ -252,70 +196,19 @@ MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
 
 PartitionResult MtMetisPartitioner::run(const CsrGraph& g,
                                         const PartitionOptions& opts) const {
-  validate_options(g, opts);
-  WallTimer wall;
-  PartitionResult res;
-  ThreadPool pool(opts.threads);
-  pool.set_cancel_token(opts.cancel);
-  MtContext ctx{&pool, &res.ledger, opts.seed};
-
-  auto injector = opts.make_fault_injector();
-  pool.set_fault_injector(injector.get());
-  const Watchdog watchdog(opts.time_budget_seconds);
-  MtPipelineControl control{injector.get(), &res.health, &watchdog};
-
-  for (int attempt = 0;; ++attempt) {
-    try {
-      auto out = mt_multilevel_pipeline(g, opts, ctx, 0, control);
-      res.partition = std::move(out.partition);
-      res.coarsen_levels = out.levels;
-      res.coarsest_vertices = out.coarsest_vertices;
-      res.cut = edge_cut(g, res.partition);
-      res.balance = partition_balance(g, res.partition);
-      if (opts.audit_level != AuditLevel::kOff) {
-        ++res.health.audits_run;
-        AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                         static_cast<std::int64_t>(res.cut),
-                                         opts.audit_level);
-        if (!f.ok()) {
-          ++res.health.audits_failed;
-          res.health.note("audit: " + f.to_string());
-          throw AuditError(std::move(f));
-        }
-      }
-      break;
-    } catch (const AuditError& e) {
-      // Terminal escalation: one whole-run restart with corruption
-      // injection suppressed; a second failure is a genuine bug.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart with "
-                                  "corruption suppressed (") +
-                      e.what() + ")");
-      injector->set_corruption_suppressed(true);
-    } catch (const ThreadPoolTaskError& e) {
-      // Injected `task` fault: the pipeline unwound at a job boundary, so
-      // one whole-run restart recovers; occurrence counters advanced, so
-      // a one-shot rule cannot refire.  A second throw propagates.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart after pool "
-                                  "task fault (") +
-                      e.what() + ")");
-    }
-  }
-
-  if (injector) injector->report_into(res.health);
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.phases.coarsen = res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen = res.ledger.seconds_with_prefix("uncoarsen/");
-  res.wall_seconds = wall.seconds();
-  return res;
+  // An injected `task` fault unwinds the pipeline at a job boundary, so
+  // one whole-run restart recovers (occurrence counters advanced, so a
+  // one-shot rule cannot refire); it shares the restart budget with the
+  // audit ladder.
+  DriverSpec spec{.attempt = mt_pipeline_attempt};
+  spec.ladder.row(Failure::kAudit) = suppressed_restart_row();
+  spec.ladder.row(Failure::kTask) = {
+      .steps = {{.note = "rollback: whole-run restart after pool task "
+                         "fault ({})"}},
+      .rollback = true,
+      .fallback = true};
+  spec.ladder.shared_restarts = true;
+  return run_driver(g, opts, spec);
 }
 
 std::unique_ptr<Partitioner> make_mt_partitioner() {

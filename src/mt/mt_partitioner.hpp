@@ -2,8 +2,8 @@
 // competitor, and the engine GP-metis borrows for its CPU phases).
 #pragma once
 
+#include "core/driver_harness.hpp"
 #include "core/partitioner.hpp"
-#include "mt/mt_context.hpp"
 
 namespace gp {
 
@@ -14,38 +14,24 @@ class MtMetisPartitioner final : public Partitioner {
                                     const PartitionOptions& opts) const override;
 };
 
-/// The multilevel pipeline with externally supplied context — reused by
-/// GP-metis for the CPU stage between the GPU coarsening and GPU
-/// uncoarsening (paper: "the remaining coarsening steps are completed on
-/// the CPU using mt-metis").
+/// Output of the multilevel pipeline below — reused by GP-metis for the
+/// CPU stage between the GPU coarsening and GPU uncoarsening (paper: "the
+/// remaining coarsening steps are completed on the CPU using mt-metis").
 struct MtPipelineResult {
   Partition partition;
   int       levels = 0;
   vid_t     coarsest_vertices = 0;
 };
 
-/// Optional corruption-defense hooks threaded through the pipeline
-/// (DESIGN.md §3.5).  All members may be null: the default-constructed
-/// control reproduces the pre-audit pipeline exactly.
-struct MtPipelineControl {
-  /// Corruption site: a `cmap` rule perturbs one coarse-map entry on the
-  /// single-threaded path between matching and contraction.
-  FaultInjector* injector = nullptr;
-  /// Audit/rollback tallies and the event trail land here.
-  RunHealth* health = nullptr;
-  /// Deadline: refinement passes are shed once it expires.
-  const Watchdog* watchdog = nullptr;
-};
-
-/// Audits (opts.audit_level) run at phase boundaries; a failed
-/// contraction audit rolls the level back onto the serial reference
-/// implementations, a failed refinement audit restores the level's
-/// checkpoint.  Damage beyond level scope throws AuditError for the
-/// caller's run-level ladder.
-MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g,
-                                        const PartitionOptions& opts,
-                                        const MtContext& ctx,
-                                        int level_offset,
-                                        const MtPipelineControl& control = {});
+/// The pipeline on `g` (a whole input graph, or GP-metis' handoff graph
+/// with levels numbered from `level_offset`), on a pool of opts.threads
+/// workers charging run.res.ledger.  Audits (opts.audit_level) run at
+/// phase boundaries; a failed contraction audit rolls the level back onto
+/// the serial reference implementations, a failed refinement audit
+/// restores the level's checkpoint.  Damage beyond level scope throws
+/// AuditError for the run-level ladder.  The `cmap` corruption site,
+/// audit tallies and deadline sheds report into `run`.
+MtPipelineResult mt_multilevel_pipeline(const CsrGraph& g, DriverRun& run,
+                                        int level_offset);
 
 }  // namespace gp

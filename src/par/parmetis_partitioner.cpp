@@ -4,17 +4,17 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/driver_harness.hpp"
 #include "core/matching.hpp"
 #include "gpu/hash_table.hpp"
 #include "par/comm.hpp"
 #include "serial/hem_matching.hpp"
 #include "serial/initpart_engine.hpp"
-#include "serial/metis_partitioner.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace gp {
 
@@ -116,22 +116,15 @@ void charge_ghost_exchange(CostLedger* ledger,
 /// recovery (pending revert, asymmetric-match repair, cmap resend) heals
 /// it.  In-range garble survives delivery and is caught by the phase
 /// audits instead, which throw AuditError for the run-level ladder.
-void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                      int P, SimComm& comm, FaultInjector* injector,
-                      const Watchdog& watchdog, PartitionResult& res) {
+void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
+  const CsrGraph& g = run.g;
+  const PartitionOptions& opts = run.opts;
+  PartitionResult& res = run.res;
   /// Bounded recovery: how many resend rounds a lost cmap message gets
   /// before the run aborts with CommFailure.
   constexpr int kMaxResendRounds = 4;
 
   const AuditLevel audit = opts.audit_level;
-  auto run_audit = [&](const AuditFailure& f) {
-    ++res.health.audits_run;
-    if (!f.ok()) {
-      ++res.health.audits_failed;
-      res.health.note("audit: " + f.to_string());
-    }
-    return f.ok();
-  };
   // Receive-side rejects, tallied per rank inside supersteps (one slot
   // per rank: race-free) and drained on the single-threaded path after.
   std::vector<std::uint64_t> discards(static_cast<std::size_t>(P), 0);
@@ -148,17 +141,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
                     " malformed record(s) in " + where +
                     " (garbled payload)");
   };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!watchdog.expired()) return false;
-    if (!shed_noted) {
-      res.health.note("watchdog: time budget exceeded, shedding refinement");
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
+  ShedWatch shed(run);
 
   struct Level {
     CsrGraph graph;             // graph at this (coarse) level
@@ -319,7 +302,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // pending state reverted: an asymmetric match that would corrupt the
     // coarse numbering.  Dissolve such edges; the vertex self-matches
     // below like any other leftover.
-    if (injector) {
+    if (run.injector) {
       std::vector<std::uint64_t> repairs(static_cast<std::size_t>(P), 0);
       comm.superstep(
           "coarsen/match/repair" + L, [&](int r, Mailbox&) -> std::uint64_t {
@@ -355,7 +338,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // the repaired+self-matched array must be a valid involution.
     if (audit != AuditLevel::kOff) {
       AuditFailure mf = audit_matching(match, audit);
-      if (!run_audit(mf)) throw AuditError(std::move(mf));
+      require_audit(run, std::move(mf));
     }
 
     // -- coarse numbering: cross-rank pair's leader is the lower-rank
@@ -446,7 +429,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // follower unlabeled, which would corrupt contraction.  Leaders rescan
     // their pairs and resend for a bounded number of rounds; loss that
     // outlives the rounds aborts the run cleanly.
-    if (injector) {
+    if (run.injector) {
       for (int round = 0;; ++round) {
         bool missing = false;
         for (vid_t v = 0; v < n && !missing; ++v) {
@@ -586,7 +569,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
     // failed conservation audit escalates straight to the run ladder.
     if (audit != AuditLevel::kOff) {
       AuditFailure f = audit_contraction(*cur, coarse, match, cmap, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
+      require_audit(run, std::move(f));
     }
 
     if (static_cast<double>(n_coarse) >
@@ -694,7 +677,7 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
   if (audit != AuditLevel::kOff) {
     AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
                                      /*expected_cut=*/-1, audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
+    require_audit(run, std::move(f));
   }
 
   // =========================== Uncoarsening ===========================
@@ -743,13 +726,13 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       if (audit != AuditLevel::kOff) {
         AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
                                          /*expected_cut=*/-1, audit);
-        if (!run_audit(f)) throw AuditError(std::move(f));
+        require_audit(run, std::move(f));
       }
     }
 
     // Refinement passes (direction-alternating, pass-committed), shed
     // wholesale once the deadline watchdog expires.
-    if (watchdog_expired()) {
+    if (shed.expired()) {
       cache_valid = false;  // all later levels shed too
       continue;
     }
@@ -869,111 +852,58 @@ void parmetis_attempt(const CsrGraph& g, const PartitionOptions& opts,
       // Cache-vs-recompute cross-check: every boundary selection this
       // level came from the cache, so audit it like partition state.
       AuditFailure f = audit_gain_cache(fine, p.where, gain_cache, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
+      require_audit(run, std::move(f));
     }
   }
 
-  res.partition = std::move(p);
-  res.partition.k = opts.k;
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
-  }
+  finish_partition(run, std::move(p));
 }
 
 }  // namespace
 
 PartitionResult ParMetisPartitioner::run(const CsrGraph& g,
                                          const PartitionOptions& opts) const {
-  validate_options(g, opts);
-  WallTimer wall;
-  PartitionResult res;
   const int P = std::max(1, opts.ranks);
-  ThreadPool pool(P);
-  pool.set_cancel_token(opts.cancel);
-  SimComm comm(P, pool, &res.ledger);
-  const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
-  comm.set_fault_injector(injector.get());
-  pool.set_fault_injector(injector.get());
-  const Watchdog watchdog(opts.time_budget_seconds);
-
-  for (int attempt = 0;; ++attempt) {
-    try {
-      parmetis_attempt(g, opts, P, comm, injector.get(), watchdog, res);
-      break;
-    } catch (const AuditError& e) {
-      if (!injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      if (attempt == 0) {
-        // Rung 1: whole-run restart with corruption suppressed.  The
-        // injector's occurrence counters keep advancing, so `@N` rules do
-        // not re-fire and `:p=` rules are muted.
-        res.health.note(std::string("rollback: whole-run restart with "
-                                    "corruption suppressed (") +
-                        e.what() + ")");
-        injector->set_corruption_suppressed(true);
-      } else {
-        // Rung 2 (terminal): the distributed engine failed its restart —
-        // hand the whole run to the serial reference implementation.
-        res.health.note(std::string("parmetis: restart failed audit (") +
-                        e.what() +
-                        "); whole-run serial fallback with corruption "
-                        "suppressed");
-        PartitionOptions serial_opts = opts;
-        serial_opts.fault_spec.clear();
-        PartitionResult serial_res =
-            SerialMetisPartitioner().run(g, serial_opts);
-        res.partition = std::move(serial_res.partition);
-        res.cut = serial_res.cut;
-        res.balance = serial_res.balance;
-        res.coarsen_levels = serial_res.coarsen_levels;
-        res.coarsest_vertices = serial_res.coarsest_vertices;
-        res.health.audits_run += serial_res.health.audits_run;
-        res.health.audits_failed += serial_res.health.audits_failed;
-        res.ledger.merge("", serial_res.ledger);
-        break;
-      }
+  // The pool and the comm layer outlive the attempts: superstep and
+  // message counters keep advancing across the restart, like the
+  // injector's occurrence counters.
+  std::optional<ThreadPool> pool;
+  std::optional<SimComm> comm;
+  DriverSpec spec;
+  spec.attempt = [&](DriverRun& run) {
+    if (!comm) {
+      pool.emplace(P);
+      pool->set_cancel_token(opts.cancel);
+      pool->set_fault_injector(run.injector);
+      comm.emplace(P, *pool, &run.res.ledger);
+      comm->set_fault_injector(run.injector);
     }
-  }
-
-  if (injector) {
-    res.health.messages_dropped += comm.messages_dropped();
-    if (res.health.match_repairs > 0) {
-      res.health.note("parmetis: dissolved " +
-                      std::to_string(res.health.match_repairs) +
-                      " asymmetric matches left by dropped grants");
+    parmetis_attempt(run, P, *comm);
+  };
+  // Rung 1 restarts with corruption suppressed (the injector's `@N`
+  // rules do not re-fire, `:p=` rules are muted); a failed restart hands
+  // the whole run to the serial reference implementation.
+  LadderRow& audit = spec.ladder.row(Failure::kAudit);
+  audit = suppressed_restart_row();
+  audit.steps.push_back({.verdict = LadderStep::kNextRung});
+  spec.ladder.serial_rung_head = "parmetis: restart failed audit";
+  spec.rollup = PhaseRollup::kSupersteps;
+  spec.before_report = [&](DriverRun& run) {
+    if (!run.injector) return;
+    RunHealth& health = run.res.health;
+    if (comm) health.messages_dropped += comm->messages_dropped();
+    if (health.match_repairs > 0) {
+      health.note("parmetis: dissolved " +
+                  std::to_string(health.match_repairs) +
+                  " asymmetric matches left by dropped grants");
     }
-    if (res.health.messages_resent > 0) {
-      res.health.note("parmetis: resent " +
-                      std::to_string(res.health.messages_resent) +
-                      " cmap messages lost in transit");
+    if (health.messages_resent > 0) {
+      health.note("parmetis: resent " +
+                  std::to_string(health.messages_resent) +
+                  " cmap messages lost in transit");
     }
-    injector->report_into(res.health);
-  }
-  res.modeled_seconds = res.ledger.total_seconds();
-  for (const auto& e : res.ledger.entries()) {
-    const bool comm_entry = e.label.rfind("comm/", 0) == 0;
-    const std::string body =
-        comm_entry ? e.label.substr(5)
-                   : (e.label.rfind("compute/", 0) == 0 ? e.label.substr(8)
-                                                        : e.label);
-    if (body.rfind("coarsen", 0) == 0 || body.rfind("ghost/match", 0) == 0 ||
-        body.rfind("ghost/cmap", 0) == 0 || body.rfind("allgather/leader", 0) == 0) {
-      res.phases.coarsen += e.seconds;
-    } else if (body.rfind("initpart", 0) == 0) {
-      res.phases.initpart += e.seconds;
-    } else {
-      res.phases.uncoarsen += e.seconds;
-    }
-  }
-  res.wall_seconds = wall.seconds();
-  return res;
+  };
+  return run_driver(g, opts, spec);
 }
 
 std::unique_ptr<Partitioner> make_par_partitioner() {

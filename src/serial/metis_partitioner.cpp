@@ -4,12 +4,11 @@
 #include <utility>
 
 #include "core/audit.hpp"
+#include "core/driver_harness.hpp"
 #include "core/matching.hpp"
 #include "serial/hem_matching.hpp"
 #include "serial/kway_refine.hpp"
 #include "serial/rb_partition.hpp"
-#include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace gp {
 
@@ -19,30 +18,13 @@ namespace {
 /// boundaries; a failed contraction audit rolls the level back onto the
 /// reference cmap and re-contracts; damage beyond level scope throws
 /// AuditError for the run-level ladder.
-void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
-                    FaultInjector* injector, const Watchdog& watchdog,
-                    PartitionResult& res) {
+void serial_attempt(DriverRun& run) {
+  const CsrGraph& g = run.g;
+  const PartitionOptions& opts = run.opts;
+  PartitionResult& res = run.res;
   Rng rng(opts.seed);
   const AuditLevel audit = opts.audit_level;
-  auto run_audit = [&](const AuditFailure& f) {
-    ++res.health.audits_run;
-    if (!f.ok()) {
-      ++res.health.audits_failed;
-      res.health.note("audit: " + f.to_string());
-    }
-    return f.ok();
-  };
-  bool shed_noted = false;
-  auto watchdog_expired = [&]() {
-    if (!watchdog.expired()) return false;
-    if (!shed_noted) {
-      res.health.note("watchdog: time budget exceeded, shedding refinement");
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-    }
-    shed_noted = true;
-    return true;
-  };
+  ShedWatch shed(run);
   // Gain cache and refiner scratch carried across the whole V-cycle: the
   // cache is built once on the coarsest graph, kept consistent by the
   // refiners' delta updates, and projected (not rebuilt) at each
@@ -57,7 +39,7 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
   /// serial refiner is deterministic, so retrying cannot help).
   auto guarded_refine = [&](const CsrGraph& graph, Partition& p,
                             const std::string& label) {
-    if (watchdog_expired()) {
+    if (shed.expired()) {
       cache_valid = false;  // later levels shed too; stop maintaining it
       return;
     }
@@ -69,30 +51,23 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
               static_cast<std::uint64_t>(graph.num_vertices()));
       cache_valid = true;
     }
-    if (audit == AuditLevel::kOff) {
-      auto st = opts.pq_refinement
-                    ? kway_refine_pq(graph, p, opts.eps, opts.refine_passes,
-                                     &gain_cache, &refine_ws)
-                    : kway_refine_serial(graph, p, opts.eps,
-                                         opts.refine_passes, &gain_cache,
-                                         &refine_ws);
-      res.ledger.charge_serial(label, st.work_units);
-      return;
-    }
-    const std::vector<part_t> checkpoint = p.where;
+    std::vector<part_t> checkpoint;
+    if (audit != AuditLevel::kOff) checkpoint = p.where;
     auto st = opts.pq_refinement
                   ? kway_refine_pq(graph, p, opts.eps, opts.refine_passes,
                                    &gain_cache, &refine_ws)
                   : kway_refine_serial(graph, p, opts.eps, opts.refine_passes,
                                        &gain_cache, &refine_ws);
     res.ledger.charge_serial(label, st.work_units);
-    bool ok = run_audit(audit_partition(graph, p, opts.k, /*eps=*/0.0,
-                                        /*expected_cut=*/-1, audit));
+    if (audit == AuditLevel::kOff) return;
+    bool ok = record_audit(run, audit_partition(graph, p, opts.k, /*eps=*/0.0,
+                                                /*expected_cut=*/-1, audit));
     if (ok && audit == AuditLevel::kParanoid) {
       // Cache-vs-recompute cross-check: the refiner both consumed and
       // delta-updated the cache, so corruption there is as damaging as
       // partition damage and audited at the same boundary.
-      ok = run_audit(audit_gain_cache(graph, p.where, gain_cache, audit));
+      ok = record_audit(run,
+                        audit_gain_cache(graph, p.where, gain_cache, audit));
     }
     if (!ok) {
       ++res.health.rollbacks;
@@ -123,46 +98,23 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
       break;  // matching stalled (e.g. star graphs); stop coarsening
     }
     // Corruption site: one cmap entry perturbed before contraction.
-    std::uint64_t material = 0;
-    if (injector && m.n_coarse > 1 && injector->corrupt_cmap(&material)) {
-      auto& slot = m.cmap[static_cast<std::size_t>(material % m.cmap.size())];
-      slot = static_cast<vid_t>(
-          (static_cast<std::uint64_t>(slot) + 1 +
-           (material >> 32) % static_cast<std::uint64_t>(m.n_coarse - 1)) %
-          static_cast<std::uint64_t>(m.n_coarse));
-    }
+    corrupt_cmap_entry(run.injector, m.cmap.data(), m.cmap.size(),
+                       m.n_coarse);
     const auto lvl = static_cast<int>(levels.size());
     if (audit != AuditLevel::kOff) {
-      AuditFailure mf = audit_matching(m.match, audit);
-      if (!run_audit(mf)) throw AuditError(std::move(mf));
+      require_audit(run, audit_matching(m.match, audit));
     }
     res.ledger.charge_serial("coarsen/match/L" + std::to_string(lvl),
                              mstats.work_units);
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (attempt == 1) {
-        ++res.health.rollbacks;
-        res.health.degraded = true;
-        res.health.note("rollback: coarsen/L" + std::to_string(lvl) +
-                        " re-contracted from rebuilt cmap");
-        auto rebuilt = build_cmap_serial(m.match);
-        m.cmap = std::move(rebuilt.first);
-        m.n_coarse = rebuilt.second;
-      }
-      CsrGraph coarse = contract_serial(*cur, m.match, m.cmap, m.n_coarse);
-      res.ledger.charge_serial(
-          "coarsen/contract/L" + std::to_string(lvl),
-          static_cast<std::uint64_t>(cur->num_arcs() + coarse.num_arcs()));
-      if (audit != AuditLevel::kOff) {
-        AuditFailure f = audit_contraction(*cur, coarse, m.match, m.cmap,
-                                           audit);
-        if (!run_audit(f)) {
-          if (attempt == 1) throw AuditError(std::move(f));
-          continue;
-        }
-      }
-      levels.push_back({std::move(coarse), std::move(m.cmap)});
-      break;
-    }
+    CsrGraph coarse = contract_level(
+        run, *cur, m, lvl, [&](bool /*reference*/) {
+          CsrGraph c = contract_serial(*cur, m.match, m.cmap, m.n_coarse);
+          res.ledger.charge_serial(
+              "coarsen/contract/L" + std::to_string(lvl),
+              static_cast<std::uint64_t>(cur->num_arcs() + c.num_arcs()));
+          return c;
+        });
+    levels.push_back({std::move(coarse), std::move(m.cmap)});
     cur = &levels.back().graph;
     res.levels.push_back({cur->num_vertices(), cur->num_edges()});
   }
@@ -175,9 +127,8 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
   Partition p = recursive_bisection(*cur, opts.k, opts.eps, rng, &rb_stats);
   res.ledger.charge_serial("initpart/rb", rb_stats.work_units);
   if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(*cur, p, opts.k, /*eps=*/0.0,
-                                     /*expected_cut=*/-1, audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
+    require_audit(run, audit_partition(*cur, p, opts.k, /*eps=*/0.0,
+                                       /*expected_cut=*/-1, audit));
   }
 
   // Refine the initial partition in place on the coarsest graph.
@@ -193,7 +144,7 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
         static_cast<std::uint64_t>(fine.num_vertices()));
     // Project the gain cache alongside the labels: fine vertices whose
     // coarse parent was interior inherit id/ed without any table work.
-    if (cache_valid && !watchdog.expired()) {
+    if (cache_valid && !run.watchdog.expired()) {
       GainCache fine_cache;
       fine_cache.init(fine, opts.k);
       wgt_t ed_sum = 0;
@@ -208,59 +159,22 @@ void serial_attempt(const CsrGraph& g, const PartitionOptions& opts,
       cache_valid = false;
     }
     if (audit != AuditLevel::kOff) {
-      AuditFailure f = audit_partition(fine, p, opts.k, /*eps=*/0.0,
-                                       /*expected_cut=*/-1, audit);
-      if (!run_audit(f)) throw AuditError(std::move(f));
+      require_audit(run, audit_partition(fine, p, opts.k, /*eps=*/0.0,
+                                         /*expected_cut=*/-1, audit));
     }
     guarded_refine(fine, p, "uncoarsen/refine/L" + std::to_string(i));
   }
 
-  res.partition = std::move(p);
-  res.cut = edge_cut(g, res.partition);
-  res.balance = partition_balance(g, res.partition);
-  if (audit != AuditLevel::kOff) {
-    AuditFailure f = audit_partition(g, res.partition, opts.k, opts.eps,
-                                     static_cast<std::int64_t>(res.cut),
-                                     audit);
-    if (!run_audit(f)) throw AuditError(std::move(f));
-  }
+  finish_partition(run, std::move(p));
 }
 
 }  // namespace
 
 PartitionResult SerialMetisPartitioner::run(const CsrGraph& g,
                                             const PartitionOptions& opts) const {
-  validate_options(g, opts);
-  WallTimer wall;
-  PartitionResult res;
-  auto injector = opts.make_fault_injector();
-  const Watchdog watchdog(opts.time_budget_seconds);
-
-  for (int attempt = 0;; ++attempt) {
-    try {
-      serial_attempt(g, opts, injector.get(), watchdog, res);
-      break;
-    } catch (const AuditError& e) {
-      // Terminal escalation: one whole-run restart with corruption
-      // injection suppressed; a second failure is a genuine bug.
-      if (attempt >= 1 || !injector) throw;
-      ++res.health.rollbacks;
-      ++res.health.fallbacks;
-      res.health.degraded = true;
-      res.health.note(std::string("rollback: whole-run restart with "
-                                  "corruption suppressed (") +
-                      e.what() + ")");
-      injector->set_corruption_suppressed(true);
-    }
-  }
-
-  if (injector) injector->report_into(res.health);
-  res.modeled_seconds = res.ledger.total_seconds();
-  res.phases.coarsen = res.ledger.seconds_with_prefix("coarsen/");
-  res.phases.initpart = res.ledger.seconds_with_prefix("initpart/");
-  res.phases.uncoarsen = res.ledger.seconds_with_prefix("uncoarsen/");
-  res.wall_seconds = wall.seconds();
-  return res;
+  DriverSpec spec{.attempt = serial_attempt};
+  spec.ladder.row(Failure::kAudit) = suppressed_restart_row();
+  return run_driver(g, opts, spec);
 }
 
 std::unique_ptr<Partitioner> make_serial_partitioner() {
