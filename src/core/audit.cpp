@@ -94,10 +94,28 @@ AuditFailure audit_contraction(const CsrGraph& fine, const CsrGraph& coarse,
                 "vertex-weight-conservation", os.str());
   }
 
+  // The fine graph may itself be a corrupted device download: its offsets
+  // must frame the arc arrays before the walk below reads through them.
+  const vid_t n = fine.num_vertices();
+  const auto& adjp = fine.adjp();
+  if (match.size() != static_cast<std::size_t>(n) ||
+      adjp.size() != match.size() + 1 ||
+      fine.adjwgt().size() != fine.adjncy().size()) {
+    return fail(AuditFailure::Kind::kCsr, "fine-offsets",
+                "fine graph / match array sizes disagree");
+  }
+  for (std::size_t i = 0; i < match.size(); ++i) {
+    if (adjp[i] < 0 || adjp[i] > adjp[i + 1] ||
+        adjp[i + 1] > fine.num_arcs()) {
+      std::ostringstream os;
+      os << "fine adjp out of order at " << i;
+      return fail(AuditFailure::Kind::kCsr, "fine-offsets", os.str());
+    }
+  }
+
   // Arc weight: coarse total = fine total minus arcs internal to matched
   // pairs (those vanish; parallel coarse arcs merge with summed weights).
   wgt_t internal = 0;
-  const vid_t n = fine.num_vertices();
   for (vid_t v = 0; v < n; ++v) {
     const vid_t u = match[static_cast<std::size_t>(v)];
     if (u == v) continue;

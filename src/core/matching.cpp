@@ -37,13 +37,17 @@ std::string validate_cmap(const std::vector<vid_t>& match,
       err << "cmap[" << v << "] = " << c << " out of [0," << n_coarse << ")";
       return err.str();
     }
-    if (cmap[static_cast<std::size_t>(match[static_cast<std::size_t>(v)])] !=
-        c) {
+    const vid_t m = match[static_cast<std::size_t>(v)];
+    if (m < 0 || m >= n) {
+      err << "match[" << v << "] = " << m << " out of range";
+      return err.str();
+    }
+    if (cmap[static_cast<std::size_t>(m)] != c) {
       err << "cmap differs across matched pair at " << v;
       return err.str();
     }
     hit[static_cast<std::size_t>(c)] = 1;
-    if (v <= match[static_cast<std::size_t>(v)]) {
+    if (v <= m) {
       // v is a leader; labels must appear in increasing vertex order.
       if (c != next_leader_label) {
         err << "leader " << v << " has label " << c << ", expected "

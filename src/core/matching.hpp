@@ -31,7 +31,9 @@ struct MatchResult {
 /// Checks the involution property.  Empty string on success.
 [[nodiscard]] std::string validate_match(const std::vector<vid_t>& match);
 
-/// Checks cmap consistency against a valid match (see header comment).
+/// Checks cmap consistency against a match (see header comment).  A match
+/// entry outside [0,n) is reported, not indexed: audits feed this
+/// freshly downloaded, possibly corrupted data.
 [[nodiscard]] std::string validate_cmap(const std::vector<vid_t>& match,
                                         const std::vector<vid_t>& cmap,
                                         vid_t n_coarse);

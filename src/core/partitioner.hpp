@@ -3,7 +3,6 @@
 // the paper's GP-metis).
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,9 +25,6 @@ struct PartitionOptions {
   int threads = 8;     ///< logical CPU threads (mt phases; paper: 8)
   int ranks = 8;       ///< simulated MPI ranks (par)
 
-  /// Coarsening stops when the graph has at most max(coarsen_to, 30*k)
-  /// vertices (0 = use 30*k, roughly Metis' C*k rule).
-  vid_t coarsen_to = 0;
   /// ParMetis variant: when > 0, switch to a PT-Scotch-style folding
   /// stage once the distributed coarse graph has at most this many
   /// vertices — every rank receives a replica and finishes coarsening +
@@ -40,15 +36,11 @@ struct PartitionOptions {
   double min_shrink = 0.95;
   int refine_passes = 8;
   /// GGGP+FM trials raced per bisection by the mt-style initial
-  /// partitioning engine (mt-metis, gp-metis, gmetis).  The partition is
-  /// byte-identical at any thread count for a fixed value; raising it
-  /// buys cut quality for modeled time.  The serial driver keeps its
-  /// Metis-faithful 4 growths + 1 FM and ignores this.
+  /// partitioning engine (mt-metis, gp-metis, gp-metis-multi).  The
+  /// partition is byte-identical at any thread count for a fixed value;
+  /// raising it buys cut quality for modeled time.  The serial driver
+  /// keeps its Metis-faithful 4 growths + 1 FM and ignores this.
   int init_trials = 1;
-  /// Serial driver only: use the priority-queue k-way refiner (process
-  /// boundary vertices in best-gain order, as real Metis does) instead
-  /// of the scan-order refiner.  Ablation: bench/abl_kway_refine.
-  bool pq_refinement = false;
 
   // --- GP-metis specific ---
   /// GPU coarsening hands off to the CPU when the level has fewer
@@ -114,10 +106,9 @@ struct PartitionOptions {
   /// empty (implemented in partitioner.cpp).
   [[nodiscard]] std::unique_ptr<FaultInjector> make_fault_injector() const;
 
-  [[nodiscard]] vid_t coarsen_target() const {
-    const vid_t metis_rule = 30 * k;
-    return coarsen_to > 0 ? std::max(coarsen_to, metis_rule) : metis_rule;
-  }
+  /// Coarsening stops when the graph has at most 30*k vertices, roughly
+  /// Metis' C*k rule.
+  [[nodiscard]] vid_t coarsen_target() const { return 30 * k; }
 };
 
 struct PhaseSeconds {

@@ -38,17 +38,9 @@ namespace gp {
 /// Chebyshev-2 shell) giving ~48 average degree.
 [[nodiscard]] CsrGraph fem_slab_graph(vid_t nx, vid_t ny, vid_t nz);
 
-/// 2D vertex coordinates (exported by the geometric generators for the
-/// coordinate-based baseline partitioners).
-struct Point2D {
-  double x, y;
-};
-
 /// delaunay_nXX analogue: Delaunay triangulation (Bowyer-Watson) of n
-/// uniform random points in the unit square.  `coords` (optional out)
-/// receives the point of each vertex id.
-[[nodiscard]] CsrGraph delaunay_graph(vid_t n, std::uint64_t seed,
-                                      std::vector<Point2D>* coords = nullptr);
+/// uniform random points in the unit square.
+[[nodiscard]] CsrGraph delaunay_graph(vid_t n, std::uint64_t seed);
 
 /// hugebubbles analogue: degree-3 honeycomb lattice of ~n vertices with
 /// `holes` circular bubbles removed (largest component returned).

@@ -1,5 +1,7 @@
 #include "hybrid/gpu_gain_cache.hpp"
 
+#include <algorithm>
+
 #include "core/gain_cache.hpp"
 #include "gpu/scan.hpp"
 
@@ -160,6 +162,16 @@ std::string GpuGainCache::compare_to_host(
     return "shape mismatch: cache has " + std::to_string(n) +
            " vertices, graph has " + std::to_string(g.num_vertices());
   }
+  // The graph and labels are themselves device downloads (flip sites):
+  // a corrupted copy is reported before the host rebuild indexes by it.
+  if (std::string err = g.validate(); !err.empty()) {
+    return "downloaded graph malformed: " + err;
+  }
+  if (where.size() != static_cast<std::size_t>(n) ||
+      std::any_of(where.begin(), where.end(),
+                  [&](part_t q) { return q < 0 || q >= k; })) {
+    return "downloaded labels out of range";
+  }
   GainCache fresh;
   fresh.build(g, where, k);
   const auto h_id = id.d2h_vector();
@@ -171,6 +183,13 @@ std::string GpuGainCache::compare_to_host(
   const auto h_part = slot_part.d2h_vector();
   const auto h_wgt = slot_wgt.d2h_vector();
   const auto h_dirty = dirty.d2h_vector();
+  for (vid_t v = 0; v < n; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    if (h_off[sv] < 0 || h_off[sv] > h_off[sv + 1] ||
+        h_off[sv + 1] > static_cast<eid_t>(h_part.size())) {
+      return "slot offsets out of order at v=" + std::to_string(v);
+    }
+  }
   std::vector<wgt_t> conn(static_cast<std::size_t>(k), 0);
   std::vector<char> mark(static_cast<std::size_t>(k), 0);
   std::vector<part_t> parts;
@@ -202,6 +221,10 @@ std::string GpuGainCache::compare_to_host(
       const part_t qp1 = h_part[static_cast<std::size_t>(base + i)];
       if (qp1 <= 0) continue;
       const part_t q = static_cast<part_t>(qp1 - 1);
+      if (q >= k) {
+        return "slot part " + std::to_string(q) + " out of range at v=" +
+               std::to_string(v);
+      }
       if (!mark[static_cast<std::size_t>(q)]) {
         mark[static_cast<std::size_t>(q)] = 1;
         parts.push_back(q);

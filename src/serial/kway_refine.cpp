@@ -1,9 +1,5 @@
 #include "serial/kway_refine.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 namespace gp {
 
 wgt_t vertex_connectivity(const CsrGraph& g, const std::vector<part_t>& where,
@@ -99,105 +95,6 @@ KwayRefineStats kway_refine_serial(const CsrGraph& g, Partition& p,
       stats.work_units += gc->apply_move(g, p.where, v, pv, bd.part);
       p.where[static_cast<std::size_t>(v)] = bd.part;
       ++moves_this_pass;
-    }
-    stats.moves += moves_this_pass;
-    if (moves_this_pass == 0) break;
-  }
-  stats.cut_after = gc->cut();
-  return stats;
-}
-
-KwayRefineStats kway_refine_pq(const CsrGraph& g, Partition& p, double eps,
-                               int max_passes, GainCache* cache,
-                               KwayWorkspace* ws) {
-  KwayRefineStats stats;
-  KwayWorkspace local_ws;
-  if (ws == nullptr) ws = &local_ws;
-  GainCache* gc = resolve_cache(g, p, cache, ws, &stats.work_units);
-  stats.cut_before = gc->cut();
-  const vid_t n = g.num_vertices();
-  const wgt_t total = g.total_vertex_weight();
-  const wgt_t max_pw = max_part_weight(total, p.k, eps);
-  const wgt_t min_pw = min_part_weight(total, p.k, eps);
-
-  fill_part_weights(g, p, ws->pw);
-  stats.work_units += static_cast<std::uint64_t>(n);
-  wgt_t* pw = ws->pw.data();
-
-  // Best admissible move of v given the current state; gain may be
-  // non-positive (callers filter).
-  auto best_move = [&](vid_t v) -> std::pair<part_t, wgt_t> {
-    const part_t pv = p.where[static_cast<std::size_t>(v)];
-    const wgt_t vw = g.vertex_weight(v);
-    const bool src_ok = pw[static_cast<std::size_t>(pv)] - vw >= min_pw;
-    const BestDest bd = gc->best_destination(
-        g, p.where, v, pv, std::numeric_limits<wgt_t>::min(), [&](part_t q) {
-          return src_ok && pw[static_cast<std::size_t>(q)] + vw <= max_pw;
-        });
-    stats.work_units +=
-        static_cast<std::uint64_t>(gc->conn_count(v)) + 1 + bd.tie_scan;
-    if (bd.part == kInvalidPart) {
-      return {kInvalidPart, std::numeric_limits<wgt_t>::min()};
-    }
-    return {bd.part, bd.conn - gc->internal(v)};
-  };
-
-  auto& moved = ws->moved;
-  moved.assign(static_cast<std::size_t>(n), 0);
-  // (gain, vertex) max-heap with lazy revalidation at pop time; the
-  // backing vector lives in the workspace, heap ops mirror what
-  // std::priority_queue does internally.
-  auto& heap = ws->heap;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    ++stats.passes;
-    std::fill(moved.begin(), moved.end(), 0);
-    heap.clear();
-    for (vid_t v = 0; v < n; ++v) {
-      if (!gc->boundary(v)) {
-        ++stats.work_units;
-        continue;
-      }
-      const auto [dst, gain] = best_move(v);
-      if (dst != kInvalidPart && gain > 0) {
-        heap.emplace_back(gain, v);
-        std::push_heap(heap.begin(), heap.end());
-      }
-    }
-    vid_t moves_this_pass = 0;
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end());
-      const auto [gain_at_push, v] = heap.back();
-      heap.pop_back();
-      if (moved[static_cast<std::size_t>(v)]) continue;
-      // Revalidate: the neighbourhood may have changed since the push.
-      const auto [dst, gain] = best_move(v);
-      if (dst == kInvalidPart || gain <= 0) continue;
-      if (gain != gain_at_push) {
-        heap.emplace_back(gain, v);  // stale entry: reinsert with current gain
-        std::push_heap(heap.begin(), heap.end());
-        continue;
-      }
-      const part_t pv = p.where[static_cast<std::size_t>(v)];
-      const wgt_t vw = g.vertex_weight(v);
-      pw[static_cast<std::size_t>(pv)] -= vw;
-      pw[static_cast<std::size_t>(dst)] += vw;
-      stats.work_units += gc->apply_move(g, p.where, v, pv, dst);
-      p.where[static_cast<std::size_t>(v)] = dst;
-      moved[static_cast<std::size_t>(v)] = 1;
-      ++moves_this_pass;
-      // Refresh the neighbours' queue entries.
-      for (const vid_t u : g.neighbors(v)) {
-        if (moved[static_cast<std::size_t>(u)]) continue;
-        if (!gc->boundary(u)) {
-          ++stats.work_units;
-          continue;
-        }
-        const auto [du, gu] = best_move(u);
-        if (du != kInvalidPart && gu > 0) {
-          heap.emplace_back(gu, u);
-          std::push_heap(heap.begin(), heap.end());
-        }
-      }
     }
     stats.moves += moves_this_pass;
     if (moves_this_pass == 0) break;

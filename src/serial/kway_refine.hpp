@@ -3,7 +3,7 @@
 // Used by the serial driver's uncoarsening phase and as the quality
 // reference for the parallel refiners.
 //
-// Both variants are fed from a GainCache (DESIGN.md §3.6): passes touch
+// The refiner is fed from a GainCache (DESIGN.md §3.6): passes touch
 // only boundary vertices, gains come from the sparse connectivity table,
 // and each committed move updates the cache by an O(deg) delta instead of
 // the next pass rescanning whole neighbourhoods.  Moves are byte-identical
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/csr_graph.hpp"
@@ -30,15 +29,13 @@ struct KwayRefineStats {
 };
 
 /// Reusable per-refiner scratch: the serial driver allocates one of these
-/// per run and passes it to every level, so the per-pass part-weight /
-/// moved-flag / heap vectors are hoisted out of the refiner (same pattern
-/// as the thread_local kernel scratch in the GPU refiner).  `cache` is
+/// per run and passes it to every level, so the per-pass part-weight
+/// vector is hoisted out of the refiner (same pattern as the
+/// thread_local kernel scratch in the GPU refiner).  `cache` is
 /// the fallback gain cache built when the caller does not own one.
 struct KwayWorkspace {
   GainCache cache;
   std::vector<wgt_t> pw;
-  std::vector<char> moved;
-  std::vector<std::pair<wgt_t, vid_t>> heap;
 };
 
 /// In-place greedy k-way refinement.  Each pass scans boundary vertices;
@@ -55,16 +52,6 @@ KwayRefineStats kway_refine_serial(const CsrGraph& g, Partition& p,
                                    double eps, int max_passes,
                                    GainCache* cache = nullptr,
                                    KwayWorkspace* ws = nullptr);
-
-/// Priority-queue variant of the greedy k-way refinement: boundary
-/// vertices are processed in descending best-gain order (the ordering
-/// real Metis uses) instead of vertex-id scan order.  Slightly better
-/// cuts for slightly more bookkeeping — `bench/abl_kway_refine`
-/// quantifies the trade; the serial driver selects it via
-/// PartitionOptions::pq_refinement.  Cache contract as above.
-KwayRefineStats kway_refine_pq(const CsrGraph& g, Partition& p, double eps,
-                               int max_passes, GainCache* cache = nullptr,
-                               KwayWorkspace* ws = nullptr);
 
 /// Per-vertex gain computation used by several refiners: fills `conn`
 /// (weight of v's arcs into each part present in its neighbourhood) and

@@ -53,11 +53,8 @@ void serial_attempt(DriverRun& run) {
     }
     std::vector<part_t> checkpoint;
     if (audit != AuditLevel::kOff) checkpoint = p.where;
-    auto st = opts.pq_refinement
-                  ? kway_refine_pq(graph, p, opts.eps, opts.refine_passes,
-                                   &gain_cache, &refine_ws)
-                  : kway_refine_serial(graph, p, opts.eps, opts.refine_passes,
-                                       &gain_cache, &refine_ws);
+    auto st = kway_refine_serial(graph, p, opts.eps, opts.refine_passes,
+                                 &gain_cache, &refine_ws);
     res.ledger.charge_serial(label, st.work_units);
     if (audit == AuditLevel::kOff) return;
     bool ok = record_audit(run, audit_partition(graph, p, opts.k, /*eps=*/0.0,

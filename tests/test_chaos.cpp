@@ -164,6 +164,30 @@ TEST(Chaos, MemCapViaCampaignRunner) {
   EXPECT_EQ(run.leaked_blocks, 0);
 }
 
+TEST(Chaos, ParanoidAuditsRejectCorruptedDownloads) {
+  // Regression: gp-metis' paranoid audits re-download the match, the fine
+  // graph and the labels, and each d2h copy is a flip site.  The first
+  // seed corrupts the match (validate_cmap indexed by it and segfaulted),
+  // then the fine graph's offsets (audit_contraction walked them); the
+  // second corrupts the graph behind the gain-cache cross-check.  Each
+  // audit must reject the copy and the ladder recover.
+  ChaosConfig cfg;
+  cfg.audit = AuditLevel::kParanoid;
+  const CsrGraph g = chaos_make_graph(cfg);
+  const struct {
+    const char* spec;
+    std::uint64_t fault_seed;
+  } cases[] = {{"flip:p=0.05", 12526488472942245107ULL},
+               {"payload:p=0.002;flip:p=0.02;h2d@1", 5404640300855603997ULL}};
+  for (const auto& c : cases) {
+    const ChaosRun run =
+        chaos_run_spec(g, cfg, "gp-metis", c.spec, c.fault_seed);
+    EXPECT_NE(run.verdict, ChaosVerdict::kViolation)
+        << c.spec << ": " << run.detail;
+    EXPECT_GT(run.audits_failed, 0u) << c.spec;
+  }
+}
+
 // ------------------------------------------------------------------ oracle
 
 TEST(Chaos, VerdictNamesAreStable) {

@@ -228,6 +228,14 @@ TEST(Matching, ValidateCmapCatchesBadLabelOrder) {
   EXPECT_FALSE(validate_cmap(match, {1, 1, 0}, 2).empty());
 }
 
+TEST(Matching, ValidateCmapRejectsOutOfRangeMatch) {
+  // A corrupted match entry must be reported, not used as an index.
+  const std::string err = validate_cmap({1, 0, 1 << 30}, {0, 0, 1}, 2);
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  EXPECT_NE(validate_cmap({1, 0, -7}, {0, 0, 1}, 2).find("out of range"),
+            std::string::npos);
+}
+
 TEST(Contraction, PathPairs) {
   const auto g = make_path(4);
   const std::vector<vid_t> match = {1, 0, 3, 2};

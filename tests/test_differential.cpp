@@ -91,6 +91,7 @@ TEST(Differential, AllSystemsAgreeWithinQualityEnvelope) {
       {"mt-metis", make_mt_partitioner()},
       {"parmetis", make_par_partitioner()},
       {"gp-metis", make_hybrid_partitioner()},
+      {"gp-metis-multi", make_multi_gpu_partitioner()},
   };
   const auto serial = make_serial_partitioner();
 

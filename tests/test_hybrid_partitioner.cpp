@@ -2,11 +2,14 @@
 // / refinement kernels and the full GP-metis driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
 #include "hybrid/gp_partitioner.hpp"
 #include "hybrid/gpu_contract.hpp"
+#include "hybrid/gpu_gain_cache.hpp"
 #include "hybrid/gpu_matching.hpp"
 #include "hybrid/gpu_refine.hpp"
 #include "serial/rb_partition.hpp"
@@ -146,6 +149,32 @@ TEST(GpuRefine, RequestSlotsAreExclusive) {
   (void)gpu_refine(dev, gg, dw, 16, 0.05, 6, 0, 1 << 14);
   Partition q{16, dw.d2h_vector()};
   EXPECT_TRUE(validate_partition(g, q).empty());
+}
+
+TEST(GpuGainCache, CompareToHostRejectsCorruptedDownloads) {
+  // The paranoid cross-check reads host copies that are themselves device
+  // downloads: corrupted labels or slots are reported, not indexed by.
+  Device dev;
+  const auto g = grid2d_graph(20, 20);
+  const auto gg = GpuGraph::upload(dev, g, "t");
+  std::vector<part_t> where(static_cast<std::size_t>(g.num_vertices()));
+  for (std::size_t v = 0; v < where.size(); ++v) {
+    where[v] = static_cast<part_t>(v % 4);
+  }
+  const auto where_dev = to_device<part_t>(dev, where, "where");
+  GpuGainCache c = GpuGainCache::build(dev, gg, where_dev, 4, "t", 256);
+  EXPECT_EQ(c.compare_to_host(g, where), "");
+
+  auto bad_where = where;
+  bad_where[7] = 1 << 20;
+  EXPECT_NE(c.compare_to_host(g, bad_where).find("labels out of range"),
+            std::string::npos);
+
+  auto slots = c.slot_part.d2h_vector();
+  *std::find_if(slots.begin(), slots.end(), [](part_t s) { return s > 0; }) =
+      1 << 20;  // stored as part + 1
+  c.slot_part.h2d(slots);
+  EXPECT_NE(c.compare_to_host(g, where).find("slot part"), std::string::npos);
 }
 
 // ---- full driver ----

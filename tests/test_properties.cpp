@@ -5,9 +5,7 @@
 
 #include "core/graph_ops.hpp"
 #include "core/partitioner.hpp"
-#include "galois/gmetis_partitioner.hpp"
 #include "gen/generators.hpp"
-#include "serial/jostle_partitioner.hpp"
 #include "serial/kway_refine.hpp"
 #include "serial/rb_partition.hpp"
 
@@ -45,8 +43,6 @@ TEST_P(PartitionerFuzz, AllSystemsAlwaysValid) {
   systems.push_back(make_par_partitioner());
   systems.push_back(make_hybrid_partitioner());
   systems.push_back(make_multi_gpu_partitioner());
-  systems.push_back(make_jostle_partitioner());
-  systems.push_back(make_gmetis_partitioner());
 
   for (const auto& sys : systems) {
     PartitionOptions opts;

@@ -17,6 +17,7 @@
 //
 // Exit codes: 0 = clean, 1 = oracle violations / gate failure, 2 = usage.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,51 @@ int usage(const char* argv0) {
       "  soak:      --soak N [--soak-workers N] [--soak-deadline SECONDS]\n",
       argv0);
   return 2;
+}
+
+[[noreturn]] void bad_value(const char* flag, const char* value,
+                            const char* expected) {
+  std::fprintf(stderr, "chaos: %s: expected %s, got \"%s\"\n", flag,
+               expected, value);
+  std::exit(2);
+}
+
+/// Whole-string integer in [lo, hi]; empty values, trailing garbage and
+/// out-of-range values exit 2 rather than silently running a default.
+long long parse_int(const char* flag, const char* value, long long lo,
+                    long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value, &end, 10);
+  if (value[0] == '\0' || *end != '\0' || errno == ERANGE || v < lo ||
+      v > hi) {
+    const std::string want = "an integer in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]";
+    bad_value(flag, value, want.c_str());
+  }
+  return v;
+}
+
+/// Whole-string unsigned 64-bit seed, parsed exactly (never via double).
+std::uint64_t parse_seed(const char* flag, const char* value) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  // strtoull accepts a sign and negates; a seed is digits only.
+  if (value[0] < '0' || value[0] > '9' || *end != '\0' || errno == ERANGE) {
+    bad_value(flag, value, "an unsigned 64-bit integer");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+/// Whole-string number of seconds in [0, 1e6].
+double parse_seconds(const char* flag, const char* value) {
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (value[0] == '\0' || *end != '\0' || !(v >= 0.0 && v <= 1e6)) {
+    bad_value(flag, value, "a number of seconds in [0, 1e6]");
+  }
+  return v;
 }
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -238,16 +284,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--seed") cfg.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--specs") cfg.specs = std::atoi(next());
-    else if (a == "--max-clauses") cfg.max_clauses = std::atoi(next());
+    const auto integer = [&](long long lo, long long hi) {
+      return parse_int(a.c_str(), next(), lo, hi);
+    };
+    if (a == "--seed") cfg.seed = parse_seed(a.c_str(), next());
+    else if (a == "--specs") cfg.specs = static_cast<int>(integer(1, 1000000));
+    else if (a == "--max-clauses")
+      cfg.max_clauses = static_cast<int>(integer(1, 64));
     else if (a == "--systems") {
       const std::string v = next();
       if (v != "all") cfg.systems = split_csv(v);
     } else if (a == "--graph") cfg.graph = next();
-    else if (a == "--n") cfg.graph_n = static_cast<vid_t>(std::atoll(next()));
-    else if (a == "--k") cfg.k = static_cast<part_t>(std::atoi(next()));
-    else if (a == "--threads") cfg.threads = std::atoi(next());
+    else if (a == "--n") cfg.graph_n = static_cast<vid_t>(integer(1, 1 << 30));
+    else if (a == "--k") cfg.k = static_cast<part_t>(integer(1, 1 << 20));
+    else if (a == "--threads") cfg.threads = static_cast<int>(integer(1, 1024));
     else if (a == "--audit") {
       const std::string v = next();
       if (v == "off") cfg.audit = AuditLevel::kOff;
@@ -260,11 +310,13 @@ int main(int argc, char** argv) {
     else if (a == "--plant") plant_spec = next();
     else if (a == "--system") replay_system = next();
     else if (a == "--fault-seed")
-      replay_fault_seed = std::strtoull(next(), nullptr, 10);
+      replay_fault_seed = parse_seed(a.c_str(), next());
     else if (a == "--selftest-shrink") selftest = true;
-    else if (a == "--soak") soak_n = std::atoi(next());
-    else if (a == "--soak-workers") soak_workers = std::atoi(next());
-    else if (a == "--soak-deadline") soak_deadline = std::atof(next());
+    else if (a == "--soak") soak_n = static_cast<int>(integer(1, 10000000));
+    else if (a == "--soak-workers")
+      soak_workers = static_cast<int>(integer(1, 1024));
+    else if (a == "--soak-deadline")
+      soak_deadline = parse_seconds(a.c_str(), next());
     else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], a.c_str());
       return usage(argv[0]);
