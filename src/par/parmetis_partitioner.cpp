@@ -75,39 +75,50 @@ struct MoveProposal {
   wgt_t  gain;
 };
 
-/// Meters a ghost-state exchange: every boundary vertex's state goes to
-/// each neighbouring rank once.  (Data itself is read from the shared
-/// arrays afterwards — in-process simulation of the ghost update.)
-void charge_ghost_exchange(CostLedger* ledger,
-                           const CsrGraph& g, const Distribution& dist,
-                           const std::string& label, std::size_t elem_bytes) {
-  if (!ledger) return;
+/// Ghost-exchange volume of one (level graph, distribution): per rank,
+/// the boundary vertices (owned vertices with at least one remote
+/// neighbour) and the distinct remote ranks they neighbour, each maxed
+/// over ranks.  It depends on nothing but the graph and the distribution,
+/// so one census per level serves every exchange charged on that level.
+struct GhostCensus {
+  std::uint64_t max_items = 0;
+  std::uint64_t max_msgs = 0;
+};
+
+GhostCensus ghost_census(const CsrGraph& g, const Distribution& dist) {
   const int P = static_cast<int>(dist.vtxdist.size()) - 1;
-  // per-rank: distinct (boundary vertex, dest rank) pairs.
-  std::uint64_t max_items = 0, max_msgs = 0;
+  GhostCensus census;
   std::vector<char> dests(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) {
+    const vid_t lo = dist.begin(r), hi = dist.end(r);
     std::uint64_t items = 0;
     std::fill(dests.begin(), dests.end(), 0);
-    for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-      bool counted = false;
+    for (vid_t v = lo; v < hi; ++v) {
+      bool boundary = false;
       for (const vid_t u : g.neighbors(v)) {
-        const int ro = dist.owner(u);
-        if (ro == r) continue;
-        if (!counted) {
-          ++items;  // a boundary vertex is sent once per remote dest;
-          counted = true;
-        }
-        dests[static_cast<std::size_t>(ro)] = 1;
+        if (u >= lo && u < hi) continue;
+        boundary = true;
+        dests[static_cast<std::size_t>(dist.owner(u))] = 1;
       }
+      if (boundary) ++items;
     }
     std::uint64_t msgs = 0;
     for (const char d : dests) msgs += d;
-    max_items = std::max(max_items, items);
-    max_msgs = std::max(max_msgs, msgs);
+    census.max_items = std::max(census.max_items, items);
+    census.max_msgs = std::max(census.max_msgs, msgs);
   }
-  ledger->charge_messages("comm/ghost/" + label, max_msgs,
-                          max_items * elem_bytes);
+  return census;
+}
+
+/// Meters a ghost-state exchange: each rank sends one message to every
+/// neighbouring rank, and the state of each boundary vertex (elem_bytes)
+/// is charged once per rank, however many remote ranks neighbour it.
+/// (Data itself is read from the shared arrays afterwards — in-process
+/// simulation of the ghost update.)
+void charge_ghost_exchange(CostLedger& ledger, const GhostCensus& census,
+                           const std::string& label, std::size_t elem_bytes) {
+  ledger.charge_messages("comm/ghost/" + label, census.max_msgs,
+                         census.max_items * elem_bytes);
 }
 
 /// One full distributed V-cycle.  Received records pass defensive bounds
@@ -149,6 +160,10 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     Distribution dist;          // distribution of the fine graph
   };
   std::vector<Level> levels;
+  // census[i]: ghost census of level i's fine graph under its
+  // distribution.  Coarsening level i and uncoarsening level i see the
+  // same (graph, distribution), so they share the entry.
+  std::vector<GhostCensus> census;
 
   const vid_t target = opts.coarsen_target();
   // With folding enabled, the distributed coarsening hands over earlier.
@@ -166,13 +181,15 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     const vid_t n = cur->num_vertices();
     const std::string L = "/L" + std::to_string(lvl);
     std::vector<vid_t> match(static_cast<std::size_t>(n), kInvalidVid);
+    census.push_back(ghost_census(*cur, dist));
+    const GhostCensus ghosts = census.back();
 
     // -- matching passes (paper: even pass requests flow only to lower
     // ranks, odd pass to higher; one aggregated message per rank pair) --
     const int kPasses = 4;
     for (int pass = 0; pass < kPasses; ++pass) {
-      charge_ghost_exchange(&res.ledger, *cur, dist,
-                            "matchstate" + L, sizeof(vid_t));
+      charge_ghost_exchange(res.ledger, ghosts, "matchstate" + L,
+                            sizeof(vid_t));
 
       // Request superstep: local pairing + remote requests.
       comm.superstep(
@@ -342,20 +359,20 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     }
 
     // -- coarse numbering: cross-rank pair's leader is the lower-rank
-    // endpoint (tie: lower id); ranks get contiguous coarse id ranges --
-    auto is_leader = [&](vid_t v) {
+    // endpoint (tie: lower id); ranks get contiguous coarse id ranges.
+    // Rank `r` owns `v` --
+    auto is_leader = [&](int r, vid_t v) {
       const vid_t m = match[static_cast<std::size_t>(v)];
       if (m == v) return true;
-      const int rv = dist.owner(v), rm = dist.owner(m);
-      if (rv != rm) return rv < rm;
-      return v < m;
+      if (m >= dist.begin(r) && m < dist.end(r)) return v < m;
+      return r < dist.owner(m);
     };
     std::vector<vid_t> leader_count(static_cast<std::size_t>(P), 0);
     comm.superstep("coarsen/cmap/count" + L,
                    [&](int r, Mailbox&) -> std::uint64_t {
                      vid_t c = 0;
                      for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-                       if (is_leader(v)) ++c;
+                       if (is_leader(r, v)) ++c;
                      }
                      leader_count[static_cast<std::size_t>(r)] = c;
                      return static_cast<std::uint64_t>(dist.end(r) -
@@ -377,7 +394,11 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     const vid_t n_coarse = coarse_off[static_cast<std::size_t>(P)];
 
     std::vector<vid_t> cmap(static_cast<std::size_t>(n), kInvalidVid);
-    // Leaders label themselves; cross-rank followers get a message.
+    // Leaders label themselves; cross-rank followers get a message.  The
+    // same sweep sizes each rank's follower adjacency for the shipadj
+    // meter below (one slot per rank: race-free).
+    std::vector<std::uint64_t> ship_bytes(static_cast<std::size_t>(P), 0);
+    std::vector<std::uint64_t> ship_msgs(static_cast<std::size_t>(P), 0);
     comm.superstep(
         "coarsen/cmap/assign" + L, [&](int r, Mailbox& mb) -> std::uint64_t {
           std::uint64_t work = 0;
@@ -385,7 +406,16 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
           std::vector<std::vector<CmapMsg>> out(static_cast<std::size_t>(P));
           for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
             ++work;
-            if (!is_leader(v)) continue;
+            if (!is_leader(r, v)) {
+              const vid_t m = match[static_cast<std::size_t>(v)];
+              if (m < dist.begin(r) || m >= dist.end(r)) {
+                ship_bytes[static_cast<std::size_t>(r)] +=
+                    static_cast<std::uint64_t>(cur->degree(v)) *
+                    (sizeof(vid_t) + sizeof(wgt_t));
+                ++ship_msgs[static_cast<std::size_t>(r)];
+              }
+              continue;
+            }
             cmap[static_cast<std::size_t>(v)] = next;
             const vid_t m = match[static_cast<std::size_t>(v)];
             if (m != v) {
@@ -452,7 +482,7 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
                   static_cast<std::size_t>(P));
               for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
                 ++work;
-                if (!is_leader(v)) continue;
+                if (!is_leader(r, v)) continue;
                 const vid_t m = match[static_cast<std::size_t>(v)];
                 if (m == v || cmap[static_cast<std::size_t>(m)] != kInvalidVid)
                   continue;
@@ -475,24 +505,19 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
 
     // -- contraction: cross-rank followers ship their (translated)
     // adjacency to the leader's rank; leaders hash-merge --
-    charge_ghost_exchange(&res.ledger, *cur, dist, "cmap" + L,
-                          sizeof(vid_t));
+    charge_ghost_exchange(res.ledger, ghosts, "cmap" + L, sizeof(vid_t));
 
-    // Follower adjacency shipping (metered with real list sizes).
+    // Follower adjacency shipping (metered with real list sizes, counted
+    // by the assign superstep).
     {
       std::uint64_t max_bytes = 0, max_msgs = 0;
       for (int r = 0; r < P; ++r) {
-        std::uint64_t bytes = 0, msgs = 0;
-        for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-          const vid_t m = match[static_cast<std::size_t>(v)];
-          if (m == v || is_leader(v)) continue;
-          if (dist.owner(m) == r) continue;
-          bytes += static_cast<std::uint64_t>(cur->degree(v)) *
-                   (sizeof(vid_t) + sizeof(wgt_t));
-          ++msgs;
-        }
-        max_bytes = std::max(max_bytes, bytes);
-        max_msgs = std::max(max_msgs, std::min<std::uint64_t>(msgs, static_cast<std::uint64_t>(P - 1)));
+        const auto slot = static_cast<std::size_t>(r);
+        max_bytes = std::max(max_bytes, ship_bytes[slot]);
+        max_msgs = std::max(max_msgs,
+                            std::min<std::uint64_t>(
+                                ship_msgs[slot],
+                                static_cast<std::uint64_t>(P - 1)));
       }
       res.ledger.charge_messages("comm/coarsen/shipadj" + L, max_msgs,
                                  max_bytes);
@@ -513,7 +538,7 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
           auto& adj = cadj_per_rank[static_cast<std::size_t>(r)];
           auto& wgt = cwgt_per_rank[static_cast<std::size_t>(r)];
           for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
-            if (!is_leader(v)) continue;
+            if (!is_leader(r, v)) continue;
             const vid_t c = cmap[static_cast<std::size_t>(v)];
             const vid_t m = match[static_cast<std::size_t>(v)];
             cvwgt[static_cast<std::size_t>(c)] =
@@ -703,6 +728,10 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
             ? dist
             : levels[i].dist;
     const std::string L = "/L" + std::to_string(i);
+    // Only the coarsest graph can lack a census: coarsening reached the
+    // target without a pass on it.
+    if (i == census.size()) census.push_back(ghost_census(fine, fdist));
+    const GhostCensus ghosts = census[i];
 
     if (i < levels.size()) {
       // Projection: leaders send part labels to cross-rank followers.
@@ -720,7 +749,7 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
                        }
                        return work;
                      });
-      charge_ghost_exchange(&res.ledger, fine, fdist, "project" + L,
+      charge_ghost_exchange(res.ledger, ghosts, "project" + L,
                             sizeof(part_t));
       p.where = std::move(fwhere);
       if (audit != AuditLevel::kOff) {
@@ -771,7 +800,7 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     auto pw = partition_weights(fine, p);
     int idle_passes = 0;
     for (int pass = 0; pass < opts.refine_passes; ++pass) {
-      charge_ghost_exchange(&res.ledger, fine, fdist,
+      charge_ghost_exchange(res.ledger, ghosts,
                             "where" + L + "/p" + std::to_string(pass),
                             sizeof(part_t));
       const bool upward = (pass % 2 == 0);

@@ -2,6 +2,11 @@
 // ParMetis-like distributed partitioner.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "core/matching.hpp"
 #include "core/partitioner.hpp"
 #include "gen/generators.hpp"
@@ -152,6 +157,101 @@ TEST(ParDriver, ModeledSlowerThanMtButFasterThanSerial) {
   const auto mt = make_mt_partitioner()->run(g, opts);
   EXPECT_LT(par.modeled_seconds, serial.modeled_seconds);
   EXPECT_GT(par.modeled_seconds, mt.modeled_seconds);
+}
+
+/// Level of a `comm/ghost/<kind>/L<i>[/p<j>]` row, or -1 for other rows.
+int ghost_row_level(const std::string& label) {
+  const std::string prefix = "comm/ghost/";
+  if (label.rfind(prefix, 0) != 0) return -1;
+  const std::size_t at = label.find("/L", prefix.size());
+  if (at == std::string::npos) return -1;
+  std::size_t end = at + 2;
+  while (end < label.size() && label[end] >= '0' && label[end] <= '9') ++end;
+  if (end == at + 2 || (end < label.size() && label[end] != '/')) return -1;
+  return std::stoi(label.substr(at + 2, end - at - 2));
+}
+
+TEST(ParDriver, GhostChargesMatchRecount) {
+  // The road graph stalls far above the coarsening target, so its
+  // coarsest level shares the census of its last coarsening pass; the
+  // Delaunay graph reaches the target, so its coarsest census is taken
+  // fresh at the start of uncoarsening.
+  struct Case {
+    const char* name;
+    CsrGraph g;
+    bool stalls;
+  };
+  const Case cases[] = {{"road", road_network_graph(20000, 7), true},
+                        {"delaunay", delaunay_graph(6000, 4), false}};
+  for (const Case& c : cases) {
+    for (const int P : {2, 4, 8}) {
+      SCOPED_TRACE(std::string(c.name) + " ranks=" + std::to_string(P));
+      PartitionOptions opts;
+      opts.k = 8;
+      opts.ranks = P;
+      const auto r = ParMetisPartitioner().run(c.g, opts);
+      ASSERT_TRUE(validate_partition(c.g, r.partition).empty());
+      EXPECT_EQ(r.coarsest_vertices > opts.coarsen_target(), c.stalls)
+          << "coarsest " << r.coarsest_vertices;
+
+      // Level 0 is the input graph under the block distribution, whatever
+      // the racy matching does: recount its boundary census here.
+      const vid_t n = c.g.num_vertices();
+      std::uint64_t max_items = 0, max_msgs = 0;
+      for (int rank = 0; rank < P; ++rank) {
+        const vid_t lo = static_cast<vid_t>(std::int64_t{n} * rank / P);
+        const vid_t hi = static_cast<vid_t>(std::int64_t{n} * (rank + 1) / P);
+        std::set<int> dests;
+        std::uint64_t items = 0;
+        for (vid_t v = lo; v < hi; ++v) {
+          bool boundary = false;
+          for (const vid_t u : c.g.neighbors(v)) {
+            if (u >= lo && u < hi) continue;
+            boundary = true;
+            for (int o = 0; o < P; ++o) {
+              if (u < static_cast<vid_t>(std::int64_t{n} * (o + 1) / P)) {
+                dests.insert(o);
+                break;
+              }
+            }
+          }
+          if (boundary) ++items;
+        }
+        max_items = std::max(max_items, items);
+        max_msgs = std::max<std::uint64_t>(max_msgs, dests.size());
+      }
+      ASSERT_GT(max_items, 0u);
+      static_assert(sizeof(vid_t) == 4 && sizeof(part_t) == 4);
+      CostLedger expect;
+      expect.charge_messages("l0", max_msgs, max_items * 4);
+      const double l0_seconds = expect.entries().front().seconds;
+
+      // Level -> distinct (bytes, seconds) charges; seconds carry the
+      // message count.
+      std::map<int, std::set<std::pair<std::uint64_t, double>>> by_level;
+      std::set<std::string> l0_kinds;
+      for (const CostEntry& e : r.ledger.entries()) {
+        const int lvl = ghost_row_level(e.label);
+        if (lvl < 0) continue;
+        by_level[lvl].insert({e.bytes, e.seconds});
+        if (lvl != 0) continue;
+        const std::size_t kind_at = std::string("comm/ghost/").size();
+        l0_kinds.insert(e.label.substr(kind_at, e.label.find('/', kind_at) -
+                                                    kind_at));
+        EXPECT_EQ(e.bytes, max_items * 4) << e.label;
+        EXPECT_DOUBLE_EQ(e.seconds, l0_seconds) << e.label;
+      }
+      EXPECT_EQ(l0_kinds, (std::set<std::string>{"cmap", "matchstate",
+                                                 "project", "where"}));
+      // Every level from the input graph down to the coarsest charged
+      // exchanges, each level from a single census.
+      ASSERT_EQ(by_level.size(),
+                static_cast<std::size_t>(r.coarsen_levels) + 1);
+      for (const auto& [lvl, charges] : by_level) {
+        EXPECT_EQ(charges.size(), 1u) << "level " << lvl;
+      }
+    }
+  }
 }
 
 TEST(ParDriver, FactoryName) {
