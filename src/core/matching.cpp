@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 namespace gp {
 
@@ -99,36 +98,43 @@ CsrGraph contract_serial(const CsrGraph& fine, const std::vector<vid_t>& match,
   cadjncy.reserve(static_cast<std::size_t>(fine.num_arcs()));
   cadjwgt.reserve(static_cast<std::size_t>(fine.num_arcs()));
 
-  // Merge the adjacency of each matched pair with a scratch map keyed by
-  // coarse neighbour label.
-  std::unordered_map<vid_t, wgt_t> merged;
+  // Merge the adjacency of each matched pair in dense scratch arrays over
+  // the coarse labels: owner[cu] names the leader whose row last touched
+  // cu, so a stale slot is reset on first touch, never swept.
+  std::vector<vid_t> owner(static_cast<std::size_t>(n_coarse), kInvalidVid);
+  std::vector<wgt_t> merged(static_cast<std::size_t>(n_coarse), 0);
+  std::vector<vid_t> row;
   for (vid_t v = 0; v < n; ++v) {
     const vid_t m = match[static_cast<std::size_t>(v)];
     if (v > m) continue;  // follower handled with its leader
     const vid_t c = cmap[static_cast<std::size_t>(v)];
     cvwgt[static_cast<std::size_t>(c)] =
         fine.vertex_weight(v) + (m != v ? fine.vertex_weight(m) : 0);
-    merged.clear();
+    row.clear();
     auto absorb = [&](vid_t src) {
       const auto nbrs = fine.neighbors(src);
       const auto wts = fine.neighbor_weights(src);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         const vid_t cu = cmap[static_cast<std::size_t>(nbrs[i])];
         if (cu == c) continue;  // intra-pair arc disappears
-        merged[cu] += wts[i];
+        const auto at = static_cast<std::size_t>(cu);
+        if (owner[at] != v) {
+          owner[at] = v;
+          merged[at] = 0;
+          row.push_back(cu);
+        }
+        merged[at] += wts[i];
       }
     };
     absorb(v);
     if (m != v) absorb(m);
     // Deterministic order: sort neighbours by label.
-    std::vector<std::pair<vid_t, wgt_t>> sorted(merged.begin(), merged.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const auto& [cu, w] : sorted) {
+    std::sort(row.begin(), row.end());
+    for (const vid_t cu : row) {
       cadjncy.push_back(cu);
-      cadjwgt.push_back(w);
+      cadjwgt.push_back(merged[static_cast<std::size_t>(cu)]);
     }
-    cadjp[static_cast<std::size_t>(c) + 1] =
-        static_cast<eid_t>(sorted.size());
+    cadjp[static_cast<std::size_t>(c) + 1] = static_cast<eid_t>(row.size());
   }
   for (vid_t c = 0; c < n_coarse; ++c) {
     cadjp[static_cast<std::size_t>(c) + 1] +=

@@ -171,6 +171,15 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
       opts.par_fold_threshold > 0
           ? std::max(target, opts.par_fold_threshold)
           : target;
+  // Metis 5 `maxvwgt`: no merge may build a coarse vertex heavier than
+  // 1.5x the mean vertex weight of a target-sized graph.  Two-hop pairs
+  // always respect it; HEM candidates and the relaxed balance moves of
+  // uncoarsening only once two-hop has merged a pair (`capped`), so
+  // graphs two-hop never touches (meshes) keep their exact V-cycle.
+  const auto max_vwgt = static_cast<wgt_t>(
+      1.5 * static_cast<double>(g.total_vertex_weight()) /
+      static_cast<double>(target));
+  bool capped = false;
   const CsrGraph* cur = &g;
   Distribution dist = Distribution::block(g.num_vertices(), P);
   int lvl = 0;
@@ -183,6 +192,9 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     std::vector<vid_t> match(static_cast<std::size_t>(n), kInvalidVid);
     census.push_back(ghost_census(*cur, dist));
     const GhostCensus ghosts = census.back();
+    // Owned vertices still unmatched after the last commit (one slot per
+    // rank: race-free).
+    std::vector<vid_t> unmatched(static_cast<std::size_t>(P), 0);
 
     // -- matching passes (paper: even pass requests flow only to lower
     // ranks, odd pass to higher; one aggregated message per rank pair) --
@@ -215,6 +227,10 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
                 const vid_t u = nbrs[idx];
                 if (match[static_cast<std::size_t>(u)] != kInvalidVid)
                   continue;
+                if (capped && cur->vertex_weight(v) + cur->vertex_weight(u) >
+                                  max_vwgt) {
+                  continue;
+                }
                 if (wts[idx] > best_w) {
                   best_w = wts[idx];
                   best = u;
@@ -303,12 +319,14 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
                 match[static_cast<std::size_t>(gr.v)] = gr.u;
               }
             }
+            vid_t left = 0;
             for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
               ++work;
-              if (match[static_cast<std::size_t>(v)] == kPendingVid) {
-                match[static_cast<std::size_t>(v)] = kInvalidVid;
-              }
+              vid_t& m = match[static_cast<std::size_t>(v)];
+              if (m == kPendingVid) m = kInvalidVid;
+              if (m == kInvalidVid) ++left;
             }
+            unmatched[static_cast<std::size_t>(r)] = left;
             return work;
           });
       drain_discards("coarsen/match" + L + "/p" + std::to_string(pass));
@@ -331,11 +349,66 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
               if (match[static_cast<std::size_t>(m)] != v) {
                 match[static_cast<std::size_t>(v)] = kInvalidVid;
                 ++repairs[static_cast<std::size_t>(r)];
+                ++unmatched[static_cast<std::size_t>(r)];
               }
             }
             return work;
           });
       for (const auto c : repairs) res.health.match_repairs += c;
+    }
+
+    // Two-hop matching (Metis 5 Match_2HopAny): where HEM leaves more than
+    // 10% of the vertices unmatched, pair unmatched vertices of degree 1-2
+    // that share a neighbour — the leaves of a star, which HEM can only
+    // give one per hub and level.  Each rank pairs its own vertices only,
+    // so the pass sends nothing and the leader rule is unchanged.  The
+    // unmatched total is one scalar allreduce; every rank can then derive
+    // the pair count from n, that total and the allgathered leader counts.
+    std::uint64_t unmatched_total = 0;
+    for (const vid_t c : unmatched)
+      unmatched_total += static_cast<std::uint64_t>(c);
+    if (P > 1) {
+      res.ledger.charge_messages("comm/coarsen/unmatched" + L,
+                                 static_cast<std::uint64_t>(P - 1),
+                                 static_cast<std::uint64_t>(P) * sizeof(vid_t));
+    }
+    if (10 * unmatched_total > static_cast<std::uint64_t>(n)) {
+      std::vector<vid_t> pairs(static_cast<std::size_t>(P), 0);
+      comm.superstep(
+          "coarsen/match/2hop" + L, [&](int r, Mailbox&) -> std::uint64_t {
+            std::uint64_t work = 0;
+            std::vector<std::pair<vid_t, vid_t>> keyed;  // (neighbour, v)
+            for (vid_t v = dist.begin(r); v < dist.end(r); ++v) {
+              ++work;
+              if (match[static_cast<std::size_t>(v)] != kInvalidVid) continue;
+              const auto nbrs = cur->neighbors(v);
+              if (nbrs.size() > 2) continue;
+              for (const vid_t u : nbrs) keyed.emplace_back(u, v);
+            }
+            std::sort(keyed.begin(), keyed.end());
+            work += keyed.size();
+            // `waiting`: an unmatched vertex of the current neighbour's
+            // group still looking for a partner.
+            vid_t waiting = kInvalidVid;
+            for (std::size_t i = 0; i < keyed.size(); ++i) {
+              const vid_t v = keyed[i].second;
+              if (i > 0 && keyed[i].first != keyed[i - 1].first)
+                waiting = kInvalidVid;
+              if (match[static_cast<std::size_t>(v)] != kInvalidVid) continue;
+              if (waiting != kInvalidVid &&
+                  cur->vertex_weight(waiting) + cur->vertex_weight(v) <=
+                      max_vwgt) {
+                match[static_cast<std::size_t>(waiting)] = v;
+                match[static_cast<std::size_t>(v)] = waiting;
+                ++pairs[static_cast<std::size_t>(r)];
+                waiting = kInvalidVid;
+              } else {
+                waiting = v;
+              }
+            }
+            return work;
+          });
+      for (const vid_t c : pairs) capped = capped || c > 0;
     }
 
     // Self-match leftovers.
@@ -798,6 +871,16 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
     }
 
     auto pw = partition_weights(fine, p);
+    // A move must keep its destination under max_pw.  In a capped
+    // hierarchy the coarsest vertices weigh up to 5% of a part, more than
+    // the tolerance, so an overweight initial part may have no neighbour
+    // with that much room.  There, as in Metis' balance mode, its vertices
+    // propose only destinations that fit, and a destination fits as well
+    // when it stays lighter than the source was.
+    auto fits = [&](wgt_t from_w, wgt_t to_w, wgt_t vw) {
+      return to_w + vw <= max_pw ||
+             (capped && from_w > max_pw && to_w + vw < from_w);
+    };
     int idle_passes = 0;
     for (int pass = 0; pass < opts.refine_passes; ++pass) {
       charge_ghost_exchange(res.ledger, ghosts,
@@ -823,6 +906,12 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
                        : gain_cache.internal(v);
               const BestDest bd = gain_cache.best_destination(
                   fine, p.where, v, pv, threshold, [&](part_t q) {
+                    if (capped && over &&
+                        !fits(pw[static_cast<std::size_t>(pv)],
+                              pw[static_cast<std::size_t>(q)],
+                              fine.vertex_weight(v))) {
+                      return false;
+                    }
                     return upward ? (q > pv) : (q < pv);
                   });
               work += static_cast<std::uint64_t>(gain_cache.conn_count(v)) +
@@ -856,7 +945,10 @@ void parmetis_attempt(DriverRun& run, int P, SimComm& comm) {
             if (r != 0) return work;
             for (const auto& mv : all) {
               const wgt_t vw = fine.vertex_weight(mv.v);
-              if (pw[static_cast<std::size_t>(mv.to)] + vw > max_pw) continue;
+              if (!fits(pw[static_cast<std::size_t>(mv.from)],
+                        pw[static_cast<std::size_t>(mv.to)], vw)) {
+                continue;
+              }
               if (pw[static_cast<std::size_t>(mv.from)] - vw < min_pw &&
                   pw[static_cast<std::size_t>(mv.from)] <= max_pw) {
                 continue;

@@ -171,17 +171,31 @@ int ghost_row_level(const std::string& label) {
   return std::stoi(label.substr(at + 2, end - at - 2));
 }
 
+/// K_{3,2m} with hubs numbered first, plus a weight-2 edge joining leaves
+/// 2i and 2i+1.  Level 0 contracts the leaf pairs; the coarse leaves then
+/// hang off the three hubs with degree 3, beyond two-hop matching, so HEM
+/// merges at most three of them and level 1 stalls whatever the ranks do.
+CsrGraph paired_hub_graph(vid_t m) {
+  constexpr vid_t kHubs = 3;
+  GraphBuilder b(kHubs + 2 * m);
+  for (vid_t l = kHubs; l < kHubs + 2 * m; ++l) {
+    for (vid_t h = 0; h < kHubs; ++h) b.add_edge(h, l);
+    if ((l - kHubs) % 2 == 1) b.add_edge(l - 1, l, 2);
+  }
+  return b.build();
+}
+
 TEST(ParDriver, GhostChargesMatchRecount) {
-  // The road graph stalls far above the coarsening target, so its
-  // coarsest level shares the census of its last coarsening pass; the
-  // Delaunay graph reaches the target, so its coarsest census is taken
-  // fresh at the start of uncoarsening.
+  // The hub graph stalls on level 1, so its coarsest level shares the
+  // census of its last coarsening pass; the Delaunay graph reaches the
+  // target, so its coarsest census is taken fresh at the start of
+  // uncoarsening.
   struct Case {
     const char* name;
     CsrGraph g;
     bool stalls;
   };
-  const Case cases[] = {{"road", road_network_graph(20000, 7), true},
+  const Case cases[] = {{"hubs", paired_hub_graph(1500), true},
                         {"delaunay", delaunay_graph(6000, 4), false}};
   for (const Case& c : cases) {
     for (const int P : {2, 4, 8}) {
@@ -251,6 +265,52 @@ TEST(ParDriver, GhostChargesMatchRecount) {
         EXPECT_EQ(charges.size(), 1u) << "level " << lvl;
       }
     }
+  }
+}
+
+TEST(ParDriver, RoadGraphReachesCoarseningTarget) {
+  // Intersections are numbered first, so the block distribution leaves
+  // chain vertices whose only neighbours are remote hubs: without two-hop
+  // matching, coarsening stalls near 10x the target.
+  const auto g = road_network_graph(20000, 7);
+  for (const int P : {1, 2, 4, 8}) {
+    SCOPED_TRACE("ranks=" + std::to_string(P));
+    PartitionOptions opts;
+    opts.k = 8;
+    opts.ranks = P;
+    const auto r = ParMetisPartitioner().run(g, opts);
+    ASSERT_TRUE(validate_partition(g, r.partition).empty());
+    EXPECT_LE(r.coarsest_vertices, 2 * opts.coarsen_target());
+    const wgt_t cap =
+        max_part_weight(g.total_vertex_weight(), opts.k, opts.eps);
+    for (const wgt_t w : partition_weights(g, r.partition)) EXPECT_LE(w, cap);
+  }
+}
+
+TEST(ParDriver, CappedHierarchyDrainsOverweightParts) {
+  // Single-rank road runs (deterministic) whose initial partition leaves
+  // a part overweight by more than any neighbour has room for: the
+  // coarsest vertices weigh up to 5% of a part.  With only the strict
+  // max_pw rule each ends 1-15 vertices over its bound.
+  struct Case {
+    std::uint64_t graph_seed;
+    part_t k;
+    std::uint64_t seed;
+    double eps;
+  };
+  for (const Case& c : {Case{20, 16, 2, 0.01}, Case{17, 32, 4, 0.01},
+                        Case{28, 128, 1, 0.02}}) {
+    SCOPED_TRACE("graph seed " + std::to_string(c.graph_seed));
+    const auto g = road_network_graph(30000, c.graph_seed);
+    PartitionOptions opts;
+    opts.k = c.k;
+    opts.seed = c.seed;
+    opts.eps = c.eps;
+    opts.ranks = 1;
+    const auto r = ParMetisPartitioner().run(g, opts);
+    ASSERT_TRUE(validate_partition(g, r.partition).empty());
+    const wgt_t cap = max_part_weight(g.total_vertex_weight(), c.k, c.eps);
+    for (const wgt_t w : partition_weights(g, r.partition)) EXPECT_LE(w, cap);
   }
 }
 
