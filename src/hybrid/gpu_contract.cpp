@@ -9,6 +9,18 @@
 
 namespace gp {
 
+void sort_merge_row(std::vector<std::pair<vid_t, wgt_t>>& row) {
+  std::sort(row.begin(), row.end());
+  std::size_t o = 0;
+  for (std::size_t i = 0; i < row.size();) {
+    const vid_t k = row[i].first;
+    wgt_t x = 0;
+    while (i < row.size() && row[i].first == k) x += row[i++].second;
+    row[o++] = {k, x};
+  }
+  row.resize(o);
+}
+
 GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
                       const DeviceBuffer<vid_t>& match,
                       const DeviceBuffer<vid_t>& cmap, vid_t n_coarse,
@@ -147,19 +159,8 @@ GpuGraph gpu_contract(Device& dev, const GpuGraph& fine,
         });
         std::sort(scratch.begin(), scratch.end());
       } else {
-        // quicksort + "remove" (merge adjacent duplicates).
-        std::sort(scratch.begin(), scratch.end());
         work += scratch.size();  // sorting pass
-        std::size_t o = 0;
-        for (std::size_t i = 0; i < scratch.size();) {
-          const vid_t k = scratch[i].first;
-          wgt_t x = 0;
-          while (i < scratch.size() && scratch[i].first == k) {
-            x += scratch[i++].second;
-          }
-          scratch[o++] = {k, x};
-        }
-        scratch.resize(o);
+        sort_merge_row(scratch);
       }
       cd[c + 1] = static_cast<eid_t>(scratch.size());
       for (const auto& [k, x] : scratch) {

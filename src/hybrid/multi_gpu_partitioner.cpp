@@ -12,6 +12,7 @@
 #include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
 #include "gpu/scan.hpp"
+#include "hybrid/gpu_contract.hpp"
 #include "mt/mt_partitioner.hpp"
 #include "util/rng.hpp"
 
@@ -590,22 +591,13 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                        };
                        absorb(v);
                        if (u != kInvalidVid) absorb(u);
-                       std::sort(scratch.begin(), scratch.end());
                        work += scratch.size();
-                       std::size_t o = 0;
-                       for (std::size_t i = 0; i < scratch.size();) {
-                         const vid_t k = scratch[i].first;
-                         wgt_t x = 0;
-                         while (i < scratch.size() && scratch[i].first == k)
-                           x += scratch[i++].second;
-                         scratch[o++] = {k, x};
-                       }
-                       scratch.resize(o);
+                       sort_merge_row(scratch);
                        cdeg[static_cast<std::size_t>(c) + 1] =
-                           static_cast<eid_t>(o);
-                       for (std::size_t i = 0; i < o; ++i) {
-                         out.adjncy.push_back(scratch[i].first);
-                         out.adjwgt.push_back(scratch[i].second);
+                           static_cast<eid_t>(scratch.size());
+                       for (const auto& [k, x] : scratch) {
+                         out.adjncy.push_back(k);
+                         out.adjwgt.push_back(x);
                        }
                      }
                      return work;

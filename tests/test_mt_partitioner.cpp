@@ -57,19 +57,27 @@ TEST(MtMatch, SingleThreadHasNoConflicts) {
   EXPECT_EQ(st.conflicts, 0u);
 }
 
-TEST(MtContract, MatchesSerialReference) {
-  PoolCtx pc(4);
-  const auto g = delaunay_graph(2000, 3);
-  const auto m = mt_match(g, pc.ctx, 0);
-  ASSERT_TRUE(validate_match(m.match).empty());
-  const auto par = mt_contract(g, m, pc.ctx, 0);
-  const auto ser = contract_serial(g, m.match, m.cmap, m.n_coarse);
-  EXPECT_TRUE(par.validate().empty()) << par.validate();
-  EXPECT_EQ(par.adjp(), ser.adjp());
-  EXPECT_EQ(par.adjncy(), ser.adjncy());
-  EXPECT_EQ(par.adjwgt(), ser.adjwgt());
-  EXPECT_EQ(par.vwgt(), ser.vwgt());
+class MtContractThreads : public ::testing::TestWithParam<int> {};
+
+TEST_P(MtContractThreads, MatchesSerialReference) {
+  // Every pool size splits the coarse ids into different blocks, each
+  // merged by its own CoarseRowMerger; the rows must not depend on that.
+  PoolCtx pc(GetParam());
+  for (const auto& g : {delaunay_graph(2000, 3), road_network_graph(4000, 3)}) {
+    const auto m = mt_match(g, pc.ctx, 0);
+    ASSERT_TRUE(validate_match(m.match).empty());
+    const auto par = mt_contract(g, m, pc.ctx, 0);
+    const auto ser = contract_serial(g, m.match, m.cmap, m.n_coarse);
+    EXPECT_TRUE(par.validate().empty()) << par.validate();
+    EXPECT_EQ(par.adjp(), ser.adjp());
+    EXPECT_EQ(par.adjncy(), ser.adjncy());
+    EXPECT_EQ(par.adjwgt(), ser.adjwgt());
+    EXPECT_EQ(par.vwgt(), ser.vwgt());
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(MtContract, MtContractThreads,
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(MtContract, WeightConservation) {
   PoolCtx pc(8);
