@@ -135,7 +135,7 @@ TEST(HarnessGolden, MtMetis) {
 }
 
 TEST(HarnessGolden, ParMetis) {
-  EXPECT_EQ(driver_trail_hash("parmetis"), 6653590768350567821ULL);
+  EXPECT_EQ(driver_trail_hash("parmetis"), 2876888350761688049ULL);
 }
 
 TEST(HarnessGolden, GpMetis) {
