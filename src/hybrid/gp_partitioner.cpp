@@ -65,20 +65,13 @@ void gp_metis_attempt(DriverRun& run, GpPhaseLog* log, vid_t handoff,
                    /*copies=*/2);
   GpuGraph g0 = GpuGraph::upload(dev, g, "G0");
   if (audit != AuditLevel::kOff) {
-    // Transfer-integrity audit: the kernels index through the device copy
-    // of the structure arrays, so a flipped bit there must be caught
-    // BEFORE any kernel consumes it — afterwards it is an out-of-bounds
-    // access, not a wrong answer.
-    const bool clean = g0.adjp.d2h_vector() == g.adjp() &&
-                       g0.adjncy.d2h_vector() == g.adjncy() &&
-                       g0.adjwgt.d2h_vector() == g.adjwgt() &&
-                       g0.vwgt.d2h_vector() == g.vwgt();
-    require_audit(run, clean ? AuditFailure{}
-                             : AuditFailure{AuditFailure::Kind::kCsr,
-                                            "transfer-integrity",
-                                            "device copy of the input graph "
-                                            "differs from the host source "
-                                            "after upload"});
+    require_audit(run, g0.matches(g)
+                           ? AuditFailure{}
+                           : AuditFailure{AuditFailure::Kind::kCsr,
+                                          "transfer-integrity",
+                                          "device copy of the input graph "
+                                          "differs from the host source "
+                                          "after upload"});
   }
 
   // ---- 2. GPU coarsening until the threshold level ----

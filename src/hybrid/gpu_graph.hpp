@@ -11,6 +11,11 @@ namespace gp {
 struct GpuGraph {
   vid_t n = 0;
   eid_t m = 0;  ///< directed arcs
+  /// First global id this graph owns.  A multi-GPU shard owns the ids
+  /// [begin, begin + n) and its adjncy holds global ids; an arc whose head
+  /// is outside that range is a halo arc, which gpu_match never pairs
+  /// across.  The other kernels take whole graphs (begin = 0).
+  vid_t begin = 0;
   DeviceBuffer<eid_t> adjp;
   DeviceBuffer<vid_t> adjncy;
   DeviceBuffer<wgt_t> adjwgt;
@@ -27,8 +32,10 @@ struct GpuGraph {
         vwgt(dev, static_cast<std::size_t>(n_), tag + "/vwgt") {}
 
   [[nodiscard]] static GpuGraph upload(Device& dev, const CsrGraph& g,
-                                       const std::string& tag) {
+                                       const std::string& tag,
+                                       vid_t begin = 0) {
     GpuGraph out(dev, g.num_vertices(), g.num_arcs(), tag);
+    out.begin = begin;
     out.adjp.h2d(g.adjp());
     out.adjncy.h2d(g.adjncy());
     out.adjwgt.h2d(g.adjwgt());
@@ -39,6 +46,18 @@ struct GpuGraph {
   [[nodiscard]] CsrGraph download() const {
     return CsrGraph(adjp.d2h_vector(), adjncy.d2h_vector(),
                     adjwgt.d2h_vector(), vwgt.d2h_vector());
+  }
+
+  /// Transfer-integrity check of an upload: downloads the arrays in upload
+  /// order, stopping at the first one that differs from `host`.  The
+  /// kernels index through the device copy, so a flipped bit there must be
+  /// caught BEFORE any kernel consumes it — afterwards it is an
+  /// out-of-bounds access, not a wrong answer.
+  [[nodiscard]] bool matches(const CsrGraph& host) const {
+    return adjp.d2h_vector() == host.adjp() &&
+           adjncy.d2h_vector() == host.adjncy() &&
+           adjwgt.d2h_vector() == host.adjwgt() &&
+           vwgt.d2h_vector() == host.vwgt();
   }
 
   [[nodiscard]] std::size_t bytes() const {

@@ -21,6 +21,7 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
   const eid_t* adjp = g.adjp.data();
   const vid_t* adjncy = g.adjncy.data();
   const wgt_t* adjwgt = g.adjwgt.data();
+  const vid_t begin = g.begin, end = g.begin + n;
 
   const std::int64_t T = std::max<std::int64_t>(1, std::min<std::int64_t>(n_threads, n));
 
@@ -46,7 +47,9 @@ GpuMatchResult gpu_match(Device& dev, const GpuGraph& g, int level,
       const std::size_t rot = deg ? rng.next_below(deg) : 0;
       for (std::size_t j = 0; j < deg; ++j) {
         const eid_t idx = lo + static_cast<eid_t>((j + rot) % deg);
-        const vid_t u = adjncy[idx];
+        const vid_t gu = adjncy[idx];
+        if (gu < begin || gu >= end) continue;  // halo arc: never matched
+        const vid_t u = gu - begin;
         if (racy_load(match[u]) != kInvalidVid) continue;
         if (adjwgt[idx] > best_w) {
           best_w = adjwgt[idx];

@@ -22,7 +22,9 @@ struct GpuMatchResult {
 
 /// Runs the matching + conflict-resolution + cmap pipeline on the device.
 /// `n_threads` is the logical launch width (the paper shrinks it level by
-/// level as the graph gets smaller).
+/// level as the graph gets smaller).  Match and cmap are indexed by local
+/// id (global id - g.begin); an arc whose head is outside
+/// [g.begin, g.begin + g.n) is a halo arc and is never matched.
 ///
 /// Under GpuScanMode::kLookback the whole level is ONE fused dispatch
 /// (fill, match, resolve, single-pass flag scan producing cmap directly,

@@ -9,12 +9,10 @@
 
 #include "core/audit.hpp"
 #include "core/driver_harness.hpp"
-#include "gpu/device_atomics.hpp"
 #include "gpu/device_buffer.hpp"
-#include "gpu/scan.hpp"
 #include "hybrid/gpu_contract.hpp"
+#include "hybrid/gpu_matching.hpp"
 #include "mt/mt_partitioner.hpp"
-#include "util/rng.hpp"
 
 namespace gp {
 
@@ -22,25 +20,16 @@ namespace {
 
 /// One device's share of a level: local vertices are the contiguous
 /// global-id block [begin, end); adjncy stores GLOBAL ids (halo arcs point
-/// outside the block).  The host keeps a mirror of the arrays it needs to
-/// build halo tables; the device holds the working copies.
+/// outside the block).  The host keeps a mirror to build halo tables and
+/// to gather the final coarse graph without re-downloading; the device
+/// holds the working copy.
 struct DeviceShard {
-  vid_t begin = 0, end = 0;  ///< global id range of local vertices
+  CsrGraph host;  ///< host mirror (global adjncy ids: not validate()-clean)
+  GpuGraph dev;   ///< device copy; dev.begin is the first global id
 
-  // Device-resident level graph (adjncy in global ids).
-  DeviceBuffer<eid_t> adjp;
-  DeviceBuffer<vid_t> adjncy;
-  DeviceBuffer<wgt_t> adjwgt;
-  DeviceBuffer<wgt_t> vwgt;
-
-  // Host mirror of the same arrays (used to compute halo tables and to
-  // merge the final coarse graph without re-downloading).
-  std::vector<eid_t> h_adjp;
-  std::vector<vid_t> h_adjncy;
-  std::vector<wgt_t> h_adjwgt;
-  std::vector<wgt_t> h_vwgt;
-
-  [[nodiscard]] vid_t local_n() const { return end - begin; }
+  [[nodiscard]] vid_t begin() const { return dev.begin; }
+  [[nodiscard]] vid_t end() const { return dev.begin + dev.n; }
+  [[nodiscard]] vid_t local_n() const { return dev.n; }
 };
 
 /// Per-level per-device coarsening artifacts kept for uncoarsening.
@@ -63,8 +52,8 @@ struct HaloTable {
 /// Builds the sorted unique halo-id list of a shard from its host mirror.
 std::vector<vid_t> halo_ids_of(const DeviceShard& s) {
   std::vector<vid_t> halo;
-  for (const vid_t u : s.h_adjncy) {
-    if (u < s.begin || u >= s.end) halo.push_back(u);
+  for (const vid_t u : s.host.adjncy()) {
+    if (u < s.begin() || u >= s.end()) halo.push_back(u);
   }
   std::sort(halo.begin(), halo.end());
   halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
@@ -109,6 +98,11 @@ struct HostMoveRequest {
 /// degrades to a pure mt-metis fallback.
 constexpr int kMaxOomRetries = 2;
 
+/// Per-device matching seed offset: device d matches with seed
+/// opts.seed + d * kDeviceSeedSalt, so device 0 draws exactly the
+/// single-GPU stream.
+constexpr std::uint64_t kDeviceSeedSalt = 131071;
+
 /// One full multi-device attempt over the surviving physical devices
 /// listed in `phys`.  Throws DeviceOutOfMemory / DeviceFailure (tagged
 /// with the physical device id); the driver below owns the
@@ -138,59 +132,23 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
     devices.back()->set_leak_sink(&res.exec.pool_leaked_blocks);
   }
 
-  // ---- initial block split + shard upload ----
-  auto make_shards = [&](const std::vector<eid_t>& adjp,
-                         const std::vector<vid_t>& adjncy,
-                         const std::vector<wgt_t>& adjwgt,
-                         const std::vector<wgt_t>& vwgt,
-                         const std::vector<vid_t>& vtxdist,
-                         const std::string& tag) {
-    std::vector<DeviceShard> shards(static_cast<std::size_t>(D));
-    for (int d = 0; d < D; ++d) {
-      auto& s = shards[static_cast<std::size_t>(d)];
-      s.begin = vtxdist[static_cast<std::size_t>(d)];
-      s.end = vtxdist[static_cast<std::size_t>(d) + 1];
-      const auto nb = static_cast<std::size_t>(s.begin);
-      const auto ne = static_cast<std::size_t>(s.end);
-      const auto ab = static_cast<std::size_t>(adjp[nb]);
-      const auto ae = static_cast<std::size_t>(adjp[ne]);
-      s.h_adjp.assign(adjp.begin() + static_cast<std::ptrdiff_t>(nb),
-                      adjp.begin() + static_cast<std::ptrdiff_t>(ne) + 1);
-      for (auto& x : s.h_adjp) x -= static_cast<eid_t>(ab);  // local offsets
-      s.h_adjncy.assign(adjncy.begin() + static_cast<std::ptrdiff_t>(ab),
-                        adjncy.begin() + static_cast<std::ptrdiff_t>(ae));
-      s.h_adjwgt.assign(adjwgt.begin() + static_cast<std::ptrdiff_t>(ab),
-                        adjwgt.begin() + static_cast<std::ptrdiff_t>(ae));
-      s.h_vwgt.assign(vwgt.begin() + static_cast<std::ptrdiff_t>(nb),
-                      vwgt.begin() + static_cast<std::ptrdiff_t>(ne));
-      Device& dev = *devices[static_cast<std::size_t>(d)];
-      s.adjp = DeviceBuffer<eid_t>(dev, s.h_adjp.size(), tag + "/adjp");
-      s.adjp.h2d(s.h_adjp);
-      s.adjncy = DeviceBuffer<vid_t>(dev, s.h_adjncy.size(), tag + "/adjncy");
-      s.adjncy.h2d(s.h_adjncy);
-      s.adjwgt = DeviceBuffer<wgt_t>(dev, s.h_adjwgt.size(), tag + "/adjwgt");
-      s.adjwgt.h2d(s.h_adjwgt);
-      s.vwgt = DeviceBuffer<wgt_t>(dev, s.h_vwgt.size(), tag + "/vwgt");
-      s.vwgt.h2d(s.h_vwgt);
-      // Transfer-integrity audit: kernels index through the device copy
-      // of the structure arrays, so a flipped bit there (a `flip` fault
-      // rule) must be caught BEFORE any kernel consumes it — afterwards
-      // it is an out-of-bounds access, not a wrong answer.
-      if (audit != AuditLevel::kOff) {
-        const bool clean = s.adjp.d2h_vector() == s.h_adjp &&
-                           s.adjncy.d2h_vector() == s.h_adjncy &&
-                           s.adjwgt.d2h_vector() == s.h_adjwgt &&
-                           s.vwgt.d2h_vector() == s.h_vwgt;
-        require_audit(run, clean ? AuditFailure{}
-                                 : AuditFailure{AuditFailure::Kind::kCsr,
-                                                "transfer-integrity",
-                                                tag + ": device shard of gpu " +
-                                                    std::to_string(d) +
-                                                    " differs from host "
-                                                    "source"});
-      }
+  // Uploads a shard's host mirror (global id block [begin, begin + n)) and
+  // audits the device copy before any kernel indexes through it.
+  auto upload_shard = [&](int d, CsrGraph host, vid_t begin,
+                          const std::string& tag, const std::string& what) {
+    DeviceShard s;
+    s.host = std::move(host);
+    s.dev = GpuGraph::upload(*devices[static_cast<std::size_t>(d)], s.host,
+                             tag, begin);
+    if (audit != AuditLevel::kOff) {
+      require_audit(run, s.dev.matches(s.host)
+                             ? AuditFailure{}
+                             : AuditFailure{AuditFailure::Kind::kCsr,
+                                            "transfer-integrity",
+                                            what + " differs from host "
+                                                   "source"});
     }
-    return shards;
+    return s;
   };
 
   std::vector<vid_t> vtxdist(static_cast<std::size_t>(D) + 1);
@@ -199,12 +157,26 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
         (static_cast<std::int64_t>(g.num_vertices()) * d) / D);
   }
 
+  // ---- initial block split + shard upload ----
   std::vector<ShardLevel> levels;
   {
     ConcurrentStage stage(res.ledger, dev_ledgers, "transfer/h2d/shards");
     ShardLevel l0;
-    l0.shards = make_shards(g.adjp(), g.adjncy(), g.adjwgt(), g.vwgt(),
-                            vtxdist, "G0");
+    for (int d = 0; d < D; ++d) {
+      const vid_t b = vtxdist[static_cast<std::size_t>(d)];
+      const vid_t e = vtxdist[static_cast<std::size_t>(d) + 1];
+      const auto ab = static_cast<std::ptrdiff_t>(g.adjp()[b]);
+      const auto ae = static_cast<std::ptrdiff_t>(g.adjp()[e]);
+      std::vector<eid_t> adjp(g.adjp().begin() + b, g.adjp().begin() + e + 1);
+      for (auto& x : adjp) x -= static_cast<eid_t>(ab);  // local offsets
+      CsrGraph host(std::move(adjp),
+                    {g.adjncy().begin() + ab, g.adjncy().begin() + ae},
+                    {g.adjwgt().begin() + ab, g.adjwgt().begin() + ae},
+                    {g.vwgt().begin() + b, g.vwgt().begin() + e});
+      l0.shards.push_back(
+          upload_shard(d, std::move(host), b, "G0",
+                       "G0: device shard of gpu " + std::to_string(d)));
+    }
     l0.fine_vtxdist = vtxdist;
     levels.push_back(std::move(l0));
   }
@@ -221,156 +193,35 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
     if (total_n <= handoff) break;
     const std::string L = "/L" + std::to_string(lvl);
 
-    // 1. local matching + conflict resolution + local cmap, per device.
+    // 1. local matching, conflict resolution and local cmap: gpu_match on
+    // each shard.  Halo arcs are never matched (the restriction ParMetis
+    // uses between ranks), and match/cmap stay on the device for the
+    // contraction below.
     cur.cmaps.assign(static_cast<std::size_t>(D), {});
-    std::vector<vid_t> coarse_count(static_cast<std::size_t>(D), 0);
+    std::vector<GpuMatchResult> matches(static_cast<std::size_t>(D));
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/coarsen/mgpu-match" + L);
       for (int d = 0; d < D; ++d) {
-        DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
-        Device& dev = *devices[static_cast<std::size_t>(d)];
-        const vid_t n = s.local_n();
-        const std::int64_t T = std::max<std::int64_t>(
-            1, std::min<std::int64_t>(launch_threads / D, n));
-
-        DeviceBuffer<vid_t> match(dev, static_cast<std::size_t>(n),
-                                  "coarsen/match" + L);
-        vid_t* mt = match.data();
-        const eid_t* adjp = s.adjp.data();
-        const vid_t* adjncy = s.adjncy.data();
-        const wgt_t* adjwgt = s.adjwgt.data();
-        const vid_t sb = s.begin, se = s.end;
-
-        auto match_body = [&](std::int64_t t) -> std::uint64_t {
-          Rng rng(opts.seed + static_cast<std::uint64_t>(lvl) * 977 +
-                  static_cast<std::uint64_t>(d) * 131071 +
-                  static_cast<std::uint64_t>(t));
-          std::uint64_t work = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            if (racy_load(mt[v]) != kInvalidVid) continue;
-            const eid_t lo = adjp[v], hi = adjp[v + 1];
-            work += static_cast<std::uint64_t>(hi - lo);
-            vid_t best = kInvalidVid;
-            wgt_t best_w = -1;
-            const auto deg = static_cast<std::size_t>(hi - lo);
-            const std::size_t rot = deg ? rng.next_below(deg) : 0;
-            for (std::size_t j = 0; j < deg; ++j) {
-              const eid_t idx = lo + static_cast<eid_t>((j + rot) % deg);
-              const vid_t gu = adjncy[idx];
-              if (gu < sb || gu >= se) continue;  // halo: never matched
-              const vid_t u = gu - sb;
-              if (racy_load(mt[u]) != kInvalidVid) continue;
-              if (adjwgt[idx] > best_w) {
-                best_w = adjwgt[idx];
-                best = u;
-              }
-            }
-            if (best == kInvalidVid) {
-              racy_store(mt[v], v);
-            } else {
-              racy_store(mt[v], best);
-              racy_store(mt[best], v);
-            }
-          }
-          return work;
-        };
-        auto resolve_body = [&](std::int64_t t) -> std::uint64_t {
-          std::uint64_t work = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            ++work;
-            const vid_t m = racy_load(mt[v]);
-            if (m == kInvalidVid) {
-              racy_store(mt[v], v);
-              continue;
-            }
-            if (m != v && racy_load(mt[m]) != v) {
-              racy_store(mt[v], v);
-            }
-          }
-          return work;
-        };
-
-        // cmap (4-kernel pipeline, local labels 0..nc-1).
-        DeviceBuffer<vid_t> cmap(dev, static_cast<std::size_t>(n),
-                                 "cmap" + L);
-        vid_t* cm = cmap.data();
-        auto final_body = [&](std::int64_t t) -> std::uint64_t {
-          std::uint64_t w = 0;
-          for (vid_t v = static_cast<vid_t>(t); v < n;
-               v += static_cast<vid_t>(T)) {
-            if (v > mt[v]) cm[v] = cm[mt[v]];
-            ++w;
-          }
-          return w;
-        };
-
-        vid_t nc = 0;
-        if (opts.gpu_scan == GpuScanMode::kLookback) {
-          // The whole per-device level chain is one fused dispatch; the
-          // cmap init/scan/sub triple collapses into a single look-back
-          // scan stage (same transform as gpu_match's fused path).
-          dev.launch_fused("coarsen/level" + L, [&](Device::Fused& f) {
-            f.stage_streamed("fill", n, sizeof(vid_t),
-                             [&](std::int64_t v) { mt[v] = kInvalidVid; });
-            f.stage("match", T, match_body);
-            f.stage("resolve", T, resolve_body);
-            if (n > 0) {
-              nc = lookback_scan_stage<vid_t>(
-                  dev, f, "cmap_scan", n, sizeof(vid_t),
-                  [&](std::int64_t v) -> vid_t {
-                    return (v <= mt[v]) ? 1 : 0;
-                  },
-                  [&](std::int64_t v, vid_t inc, vid_t) { cm[v] = inc - 1; });
-            }
-            f.stage("cmap_final", T, final_body);
-          });
-        } else {
-          match.fill(kInvalidVid);
-          dev.launch("coarsen/match" + L, T, match_body);
-          dev.launch("coarsen/resolve" + L, T, resolve_body);
-          dev.launch("coarsen/cmap/init" + L, T,
-                     [&](std::int64_t t) -> std::uint64_t {
-                       std::uint64_t w = 0;
-                       for (vid_t v = static_cast<vid_t>(t); v < n;
-                            v += static_cast<vid_t>(T)) {
-                         cm[v] = (v <= mt[v]) ? 1 : 0;
-                         ++w;
-                       }
-                       return w;
-                     });
-          nc = n > 0 ? device_inclusive_scan(dev, cmap,
-                                             "coarsen/cmap/scan" + L)
-                     : 0;
-          dev.launch("coarsen/cmap/sub" + L, T,
-                     [&](std::int64_t t) -> std::uint64_t {
-                       std::uint64_t w = 0;
-                       for (vid_t v = static_cast<vid_t>(t); v < n;
-                            v += static_cast<vid_t>(T)) {
-                         cm[v] -= 1;
-                         ++w;
-                       }
-                       return w;
-                     });
-          dev.launch("coarsen/cmap/final" + L, T, final_body);
-        }
-        coarse_count[static_cast<std::size_t>(d)] = nc;
-        cur.cmaps[static_cast<std::size_t>(d)] = cmap.d2h_vector();
+        const auto sd = static_cast<std::size_t>(d);
+        matches[sd] = gpu_match(*devices[sd], cur.shards[sd].dev, lvl,
+                                opts.seed + sd * kDeviceSeedSalt,
+                                launch_threads / D, opts.gpu_scan);
+        const GpuMatchResult& m = matches[sd];
+        cur.cmaps[sd] = m.cmap.d2h_vector();
         // Range audit BEFORE the host consumes the downloaded cmap: the
-        // leader/partner scans and the halo owner lookups index host
-        // arrays with these values, so a flipped entry would be an
-        // out-of-bounds access there rather than a wrong answer.
+        // projection indexes the coarse labels with these values, so a
+        // flipped entry would be an out-of-bounds access there rather
+        // than a wrong answer.
         if (audit != AuditLevel::kOff) {
           AuditFailure f;
-          for (const vid_t c : cur.cmaps[static_cast<std::size_t>(d)]) {
-            if (c < 0 || c >= nc) {
+          for (const vid_t c : cur.cmaps[sd]) {
+            if (c < 0 || c >= m.n_coarse) {
               f = {AuditFailure::Kind::kContraction, "cmap-range",
                    "gpu " + std::to_string(d) + " level " +
                        std::to_string(lvl) + ": coarse map entry " +
                        std::to_string(c) + " outside [0, " +
-                       std::to_string(nc) + ")"};
+                       std::to_string(m.n_coarse) + ")"};
               break;
             }
           }
@@ -385,7 +236,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
     for (int d = 0; d < D; ++d) {
       coarse_off[static_cast<std::size_t>(d) + 1] =
           coarse_off[static_cast<std::size_t>(d)] +
-          coarse_count[static_cast<std::size_t>(d)];
+          matches[static_cast<std::size_t>(d)].n_coarse;
     }
     const vid_t n_coarse = coarse_off[static_cast<std::size_t>(D)];
     for (int d = 0; d < D; ++d) {
@@ -445,85 +296,40 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
       }
     }
 
-    // 4. contraction per device into global-coarse-id adjacency.
-    std::vector<vid_t> coarse_vtxdist = coarse_off;
+    // 4. contraction per device into global-coarse-id adjacency.  Every
+    // leader (v <= match[v]) builds its coarse row from the device-resident
+    // match and cmap; halo heads translate through the halo table.
     ShardLevel next;
-    next.fine_vtxdist = coarse_vtxdist;
-    next.shards.resize(static_cast<std::size_t>(D));
+    next.fine_vtxdist = coarse_off;
     {
       ConcurrentStage stage(res.ledger, dev_ledgers,
                             "kernel/coarsen/mgpu-contract" + L);
       for (int d = 0; d < D; ++d) {
-        DeviceShard& s = cur.shards[static_cast<std::size_t>(d)];
-        Device& dev = *devices[static_cast<std::size_t>(d)];
+        const auto sd = static_cast<std::size_t>(d);
+        const DeviceShard& s = cur.shards[sd];
+        Device& dev = *devices[sd];
         const vid_t n = s.local_n();
-        const vid_t nc = coarse_count[static_cast<std::size_t>(d)];
-        const auto& cmap = cur.cmaps[static_cast<std::size_t>(d)];
-        const auto& h = halo[static_cast<std::size_t>(d)];
+        const vid_t nc = matches[sd].n_coarse;
+        const vid_t* mt = matches[sd].match.data();
+        const vid_t* cm = matches[sd].cmap.data();
+        const HaloTable& h = halo[sd];
         const vid_t* hid = h.ids.data();
         const vid_t* hval = h.vals.data();
         const std::size_t hsz = h.size;
-        const vid_t sb = s.begin, se = s.end;
-        const vid_t cb = coarse_off[static_cast<std::size_t>(d)];
+        const vid_t sb = s.begin(), se = s.end();
+        const vid_t cb = coarse_off[sd];
+        const eid_t* adjp = s.dev.adjp.data();
+        const vid_t* adjncy = s.dev.adjncy.data();
+        const wgt_t* adjwgt = s.dev.adjwgt.data();
+        const wgt_t* vw = s.dev.vwgt.data();
 
-        // Leader list: local coarse ordinal -> local fine leader (the
-        // first fine vertex mapping to the coarse id, by construction of
-        // the cmap pipeline).
-        std::vector<vid_t> leaders(static_cast<std::size_t>(nc));
-        std::vector<char> seen(static_cast<std::size_t>(nc), 0);
-        for (vid_t v = 0; v < n; ++v) {
-          const auto lc = static_cast<std::size_t>(
-              cmap[static_cast<std::size_t>(v)] - cb);
-          if (!seen[lc]) {
-            seen[lc] = 1;
-            leaders[lc] = v;
-          }
-        }
-        DeviceBuffer<vid_t> d_leaders(dev, std::max<std::size_t>(1, leaders.size()),
-                                      "leaders" + L);
-        if (!leaders.empty()) {
-          d_leaders.h2d(std::span<const vid_t>(leaders.data(), leaders.size()));
-        }
-        DeviceBuffer<vid_t> d_cmap(dev, std::max<std::size_t>(1, cmap.size()),
-                                   "gcmap" + L);
-        if (!cmap.empty()) {
-          d_cmap.h2d(std::span<const vid_t>(cmap.data(), cmap.size()));
-        }
-        const vid_t* ld = d_leaders.data();
-        const vid_t* cm = d_cmap.data();
-        const eid_t* adjp = s.adjp.data();
-        const vid_t* adjncy = s.adjncy.data();
-        const wgt_t* adjwgt = s.adjwgt.data();
-        const wgt_t* vw = s.vwgt.data();
-
-        // Pair partner of a leader: second fine vertex with the same
-        // coarse id (if any) — recovered on host for kernel simplicity.
-        std::vector<vid_t> partner(static_cast<std::size_t>(nc),
-                                   kInvalidVid);
-        {
-          std::vector<char> first(static_cast<std::size_t>(nc), 0);
-          for (vid_t v = 0; v < n; ++v) {
-            const auto lc = static_cast<std::size_t>(
-                cmap[static_cast<std::size_t>(v)] - cb);
-            if (!first[lc]) {
-              first[lc] = 1;
-            } else {
-              partner[lc] = v;
-            }
-          }
-        }
-        DeviceBuffer<vid_t> d_partner(
-            dev, std::max<std::size_t>(1, partner.size()), "partner" + L);
-        if (!partner.empty()) {
-          d_partner.h2d(std::span<const vid_t>(partner.data(), partner.size()));
-        }
-        const vid_t* pt = d_partner.data();
-
+        // Thread t owns the fine block [bb, ee).  Leaders' coarse ids rise
+        // with their fine ids, so the per-thread rows concatenate in
+        // coarse-id order.
         const std::int64_t T = std::max<std::int64_t>(
-            1, std::min<std::int64_t>(launch_threads / D,
-                                      std::max<vid_t>(1, nc)));
+            1, std::min<std::int64_t>(launch_threads / D, n));
         auto block = [&](std::int64_t t) {
-          const std::int64_t chunk = nc / T, rem = nc % T;
+          const std::int64_t chunk = n / T, rem = n % T;
           const std::int64_t b = t * chunk + std::min<std::int64_t>(t, rem);
           return std::pair<vid_t, vid_t>(
               static_cast<vid_t>(b),
@@ -544,8 +350,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                      auto& out = outs[static_cast<std::size_t>(t)];
                      std::uint64_t work = 0;
                      std::vector<std::pair<vid_t, wgt_t>> scratch;
-                     // The kernel indexes through device copies (leaders,
-                     // partners, adjacency, halo table) that cross the
+                     // The shard adjacency and the halo table cross the
                      // corruptible bus; a flipped word there must surface
                      // as a device fault, not an out-of-bounds host read.
                      auto trap = [&](const char* what) {
@@ -556,7 +361,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                            dev.device_id());
                      };
                      auto translate = [&](vid_t gu) -> vid_t {
-                       if (gu >= sb && gu < se) return cm[gu - sb];
+                       if (gu >= sb && gu < se) return cb + cm[gu - sb];
                        // halo: binary search the sorted table
                        std::size_t lo = 0, hi = hsz;
                        while (lo < hi) {
@@ -568,29 +373,27 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                        if (lo >= hsz || hid[lo] != gu) trap("halo id");
                        return hval[lo];
                      };
-                     const eid_t me = static_cast<eid_t>(s.adjncy.size());
-                     for (vid_t c = bb; c < ee; ++c) {
-                       const vid_t v = ld[c];
-                       const vid_t u = pt[c];
-                       if (v < 0 || v >= n) trap("leader");
-                       if (u != kInvalidVid && (u < 0 || u >= n))
-                         trap("partner");
-                       const vid_t gc = cb + c;
+                     for (vid_t v = bb; v < ee; ++v) {
+                       ++work;
+                       const vid_t u = mt[v];
+                       if (u < v) continue;  // a follower: its leader's row
+                       const vid_t c = cm[v];
                        cvwgt[static_cast<std::size_t>(c)] =
-                           vw[v] + (u != kInvalidVid ? vw[u] : 0);
+                           vw[v] + (u != v ? vw[u] : 0);
                        scratch.clear();
                        auto absorb = [&](vid_t src) {
                          const eid_t jb = adjp[src], je = adjp[src + 1];
-                         if (jb < 0 || je < jb || je > me) trap("adjp row");
+                         if (jb < 0 || je < jb || je > s.dev.m)
+                           trap("adjp row");
                          for (eid_t j = jb; j < je; ++j) {
                            const vid_t cu = translate(adjncy[j]);
-                           if (cu == gc) continue;
+                           if (cu == cb + c) continue;
                            scratch.emplace_back(cu, adjwgt[j]);
                            ++work;
                          }
                        };
                        absorb(v);
-                       if (u != kInvalidVid) absorb(u);
+                       if (u != v) absorb(u);
                        work += scratch.size();
                        sort_merge_row(scratch);
                        cdeg[static_cast<std::size_t>(c) + 1] =
@@ -616,45 +419,13 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
         }
 
         // Upload the coarse shard to the device; keep the host mirror.
-        DeviceShard cs;
-        cs.begin = coarse_vtxdist[static_cast<std::size_t>(d)];
-        cs.end = coarse_vtxdist[static_cast<std::size_t>(d) + 1];
-        cs.h_adjp = std::move(cdeg);
-        cs.h_adjncy = std::move(cadjncy);
-        cs.h_adjwgt = std::move(cadjwgt);
-        cs.h_vwgt = std::move(cvwgt);
-        cs.adjp = DeviceBuffer<eid_t>(dev, cs.h_adjp.size(), "cadjp" + L);
-        cs.adjp.h2d(cs.h_adjp);
-        cs.adjncy =
-            DeviceBuffer<vid_t>(dev, std::max<std::size_t>(1, cs.h_adjncy.size()),
-                                "cadjncy" + L);
-        if (!cs.h_adjncy.empty()) cs.adjncy.h2d(cs.h_adjncy);
-        cs.adjwgt =
-            DeviceBuffer<wgt_t>(dev, std::max<std::size_t>(1, cs.h_adjwgt.size()),
-                                "cadjwgt" + L);
-        if (!cs.h_adjwgt.empty()) cs.adjwgt.h2d(cs.h_adjwgt);
-        cs.vwgt = DeviceBuffer<wgt_t>(dev, std::max<std::size_t>(1, cs.h_vwgt.size()),
-                                      "cvwgt" + L);
-        if (!cs.h_vwgt.empty()) cs.vwgt.h2d(cs.h_vwgt);
-        if (audit != AuditLevel::kOff) {
-          const bool clean = cs.adjp.d2h_vector() == cs.h_adjp &&
-                             (cs.h_adjncy.empty() ||
-                              cs.adjncy.d2h_vector() == cs.h_adjncy) &&
-                             (cs.h_adjwgt.empty() ||
-                              cs.adjwgt.d2h_vector() == cs.h_adjwgt) &&
-                             (cs.h_vwgt.empty() ||
-                              cs.vwgt.d2h_vector() == cs.h_vwgt);
-          require_audit(run, clean ? AuditFailure{}
-                                   : AuditFailure{AuditFailure::Kind::kCsr,
-                                                  "transfer-integrity",
-                                                  "coarse shard of gpu " +
-                                                      std::to_string(d) +
-                                                      " at level " +
-                                                      std::to_string(lvl) +
-                                                      " differs from host "
-                                                      "source"});
-        }
-        next.shards[static_cast<std::size_t>(d)] = std::move(cs);
+        next.shards.push_back(upload_shard(
+            d,
+            CsrGraph(std::move(cdeg), std::move(cadjncy), std::move(cadjwgt),
+                     std::move(cvwgt)),
+            cb, "G" + std::to_string(lvl + 1),
+            "coarse shard of gpu " + std::to_string(d) + " at level " +
+                std::to_string(lvl)));
       }
     }
 
@@ -664,10 +435,9 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
     // any one device after the per-device artifacts are merged.
     if (audit != AuditLevel::kOff) {
       wgt_t fine_w = 0, coarse_w = 0;
-      for (const auto& s : cur.shards)
-        for (const wgt_t w : s.h_vwgt) fine_w += w;
+      for (const auto& s : cur.shards) fine_w += s.host.total_vertex_weight();
       for (const auto& s : next.shards)
-        for (const wgt_t w : s.h_vwgt) coarse_w += w;
+        coarse_w += s.host.total_vertex_weight();
       require_audit(
           run, fine_w == coarse_w
                    ? AuditFailure{}
@@ -680,8 +450,8 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                                       std::to_string(coarse_w)});
     }
 
-    // Free the fine shards' device copies except level-0... keep all for
-    // uncoarsening refinement (the single-GPU version does the same).
+    // Every level's device shards stay resident for the uncoarsening
+    // refinement (the single-GPU version does the same).
     levels.push_back(std::move(next));
     ++lvl;
     launch_threads = std::max<std::int64_t>(256 * D, launch_threads / 2);
@@ -695,21 +465,18 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
     std::vector<eid_t> adjp{0};
     std::vector<vid_t> adjncy;
     std::vector<wgt_t> adjwgt, vwgt;
-    for (const auto& s : top.shards) {
-      const eid_t base = adjp.back();
-      for (std::size_t i = 1; i < s.h_adjp.size(); ++i) {
-        adjp.push_back(base + s.h_adjp[i]);
-      }
-      adjncy.insert(adjncy.end(), s.h_adjncy.begin(), s.h_adjncy.end());
-      adjwgt.insert(adjwgt.end(), s.h_adjwgt.begin(), s.h_adjwgt.end());
-      vwgt.insert(vwgt.end(), s.h_vwgt.begin(), s.h_vwgt.end());
-    }
     // The gather is a real D2H of every shard.
     std::uint64_t bytes = 0;
     for (const auto& s : top.shards) {
-      bytes += s.h_adjp.size() * sizeof(eid_t) +
-               s.h_adjncy.size() * (sizeof(vid_t) + sizeof(wgt_t)) +
-               s.h_vwgt.size() * sizeof(wgt_t);
+      const CsrGraph& h = s.host;
+      const eid_t base = adjp.back();
+      for (std::size_t i = 1; i < h.adjp().size(); ++i) {
+        adjp.push_back(base + h.adjp()[i]);
+      }
+      adjncy.insert(adjncy.end(), h.adjncy().begin(), h.adjncy().end());
+      adjwgt.insert(adjwgt.end(), h.adjwgt().begin(), h.adjwgt().end());
+      vwgt.insert(vwgt.end(), h.vwgt().begin(), h.vwgt().end());
+      bytes += s.dev.bytes();
     }
     res.ledger.charge_transfer("transfer/d2h/mgpu-gather", bytes);
     cpu_graph = CsrGraph(std::move(adjp), std::move(adjncy),
@@ -772,7 +539,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                      std::uint64_t w = 0;
                      for (vid_t v = static_cast<vid_t>(t); v < n;
                           v += static_cast<vid_t>(T)) {
-                       fwhere[static_cast<std::size_t>(s.begin + v)] =
+                       fwhere[static_cast<std::size_t>(s.begin() + v)] =
                            where[static_cast<std::size_t>(
                                cmap[static_cast<std::size_t>(v)])];
                        ++w;
@@ -794,8 +561,8 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
       const DeviceShard& s = fine_level.shards[static_cast<std::size_t>(d)];
       for (vid_t v = 0; v < s.local_n(); ++v) {
         pw[static_cast<std::size_t>(
-            where[static_cast<std::size_t>(s.begin + v)])] += s.h_vwgt
-            [static_cast<std::size_t>(v)];
+            where[static_cast<std::size_t>(s.begin() + v)])] +=
+            s.host.vertex_weight(v);
       }
     }
     int idle_passes = 0;
@@ -818,9 +585,9 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
               1, std::min<std::int64_t>(launch_threads, n));
           std::vector<std::vector<HostMoveRequest>> per_chunk(
               static_cast<std::size_t>(T));
-          const eid_t* adjp = s.adjp.data();
-          const vid_t* adjncy = s.adjncy.data();
-          const wgt_t* adjwgt = s.adjwgt.data();
+          const eid_t* adjp = s.dev.adjp.data();
+          const vid_t* adjncy = s.dev.adjncy.data();
+          const wgt_t* adjwgt = s.dev.adjwgt.data();
           dev.launch(
               "uncoarsen/refine/propose" + L, T,
               [&](std::int64_t t) -> std::uint64_t {
@@ -830,7 +597,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
                 std::vector<part_t> parts;
                 for (vid_t v = static_cast<vid_t>(t); v < n;
                      v += static_cast<vid_t>(T)) {
-                  const vid_t gv = s.begin + v;
+                  const vid_t gv = s.begin() + v;
                   const part_t pv = where[static_cast<std::size_t>(gv)];
                   const eid_t lo = adjp[v], hi = adjp[v + 1];
                   work += static_cast<std::uint64_t>(hi - lo) + 1;
@@ -888,7 +655,7 @@ void multi_gpu_attempt(DriverRun& run, MultiGpuLog* log,
         const auto d = static_cast<std::size_t>(
             it - fine_level.fine_vtxdist.begin() - 1);
         const DeviceShard& sh = fine_level.shards[d];
-        return sh.h_vwgt[static_cast<std::size_t>(gv - sh.begin)];
+        return sh.host.vertex_weight(gv - sh.begin());
       };
       std::uint64_t committed = 0;
       for (const auto& mv : all) {

@@ -6,18 +6,22 @@
 //   * the vertex set is block-split across D devices; each device holds
 //     only its local subgraph plus halo arcs (global ids of remote
 //     neighbours), so per-device memory is ~|G|/D;
-//   * coarsening runs the single-GPU kernels per device with matching
-//     restricted to local neighbours (halo arcs are never matched — the
-//     same restriction ParMetis uses between ranks); global coarse ids
-//     come from a host-side offset scan, and each level performs one
-//     halo-cmap exchange through the host (metered D2H+H2D);
+//   * coarsening runs the single-GPU gpu_match on each device's shard
+//     (GpuGraph::begin marks the shard's global-id block; halo arcs are
+//     never matched — the same restriction ParMetis uses between ranks);
+//     global coarse ids come from a host-side offset scan, and each level
+//     performs one halo-cmap exchange through the host (metered D2H+H2D);
+//   * each device merges its coarse rows from the device-resident match
+//     and cmap, translating halo heads through the uploaded halo table;
 //   * once the combined coarse graph is small it is gathered to the host
 //     and the CPU stage (mt-metis) runs exactly as in single-GPU GP-metis;
-//   * uncoarsening projects per device; refinement proposes on the
-//     devices (same lock-free buffered kernels) and the host replays the
-//     gathered requests deterministically against the true partition
-//     weights, then scatters label updates back — the simplest scheme
-//     that keeps the balance constraint exact across devices.
+//   * uncoarsening projects per device; refinement is NOT the single-GPU
+//     lock-free buffered kernels: each device proposes moves from its
+//     shard (best-connected part, one direction per pass, no gain cache),
+//     and the host replays the gathered requests deterministically
+//     against the true partition weights, then scatters label updates
+//     back — the simplest scheme that keeps the balance constraint exact
+//     across devices.
 #pragma once
 
 #include "core/partitioner.hpp"

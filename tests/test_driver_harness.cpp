@@ -143,7 +143,7 @@ TEST(HarnessGolden, GpMetis) {
 }
 
 TEST(HarnessGolden, GpMetisMulti) {
-  EXPECT_EQ(driver_trail_hash("gp-metis-multi"), 9000274550203347516ULL);
+  EXPECT_EQ(driver_trail_hash("gp-metis-multi"), 10977706708774707226ULL);
 }
 
 // ------------------------------------------------------------ ladder

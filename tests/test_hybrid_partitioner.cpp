@@ -50,6 +50,57 @@ TEST(GpuMatch, CmapPipelineMatchesSerialReference) {
   EXPECT_EQ(m.n_coarse, ref_nc);
 }
 
+class GpuMatchShard : public ::testing::TestWithParam<GpuScanMode> {};
+
+TEST_P(GpuMatchShard, NeverPairsAcrossHaloArcs) {
+  // A multi-GPU shard: the middle global-id block [b, e) of a Delaunay
+  // graph, with adjncy in global ids, so arcs to heads outside the block
+  // are halo arcs.  gpu_match must pair only local neighbours, and its
+  // match and cmap are indexed by local id.
+  const auto g = delaunay_graph(3000, 2);
+  const vid_t b = 1000, e = 2200;
+  std::vector<eid_t> adjp{0};
+  std::vector<vid_t> adjncy;
+  std::vector<wgt_t> adjwgt, vwgt;
+  std::size_t halo_arcs = 0;
+  for (vid_t v = b; v < e; ++v) {
+    const auto nb = g.neighbors(v);
+    const auto nw = g.neighbor_weights(v);
+    for (std::size_t j = 0; j < nb.size(); ++j) {
+      adjncy.push_back(nb[j]);
+      adjwgt.push_back(nw[j]);
+      halo_arcs += (nb[j] < b || nb[j] >= e) ? 1 : 0;
+    }
+    adjp.push_back(static_cast<eid_t>(adjncy.size()));
+    vwgt.push_back(g.vertex_weight(v));
+  }
+  ASSERT_GT(halo_arcs, 0u);
+  const CsrGraph shard(std::move(adjp), std::move(adjncy), std::move(adjwgt),
+                       std::move(vwgt));
+
+  Device dev;
+  auto gg = GpuGraph::upload(dev, shard, "shard", b);
+  auto m = gpu_match(dev, gg, 0, 11, 256, GetParam());
+  const auto match = m.match.d2h_vector();
+  const auto cmap = m.cmap.d2h_vector();
+  ASSERT_EQ(match.size(), static_cast<std::size_t>(e - b));
+  ASSERT_TRUE(validate_match(match).empty()) << validate_match(match);
+  ASSERT_TRUE(validate_cmap(match, cmap, m.n_coarse).empty())
+      << validate_cmap(match, cmap, m.n_coarse);
+  for (vid_t v = 0; v < e - b; ++v) {
+    const vid_t u = match[static_cast<std::size_t>(v)];
+    if (u == v) continue;
+    const auto nb = shard.neighbors(v);
+    EXPECT_NE(std::find(nb.begin(), nb.end(), b + u), nb.end())
+        << "local " << v << " paired with non-neighbour local " << u;
+  }
+  EXPECT_LT(m.n_coarse, static_cast<vid_t>(0.75 * (e - b)));
+}
+
+INSTANTIATE_TEST_SUITE_P(ScanModes, GpuMatchShard,
+                         ::testing::Values(GpuScanMode::kBlocked,
+                                           GpuScanMode::kLookback));
+
 class GpuContractMode : public ::testing::TestWithParam<bool> {};
 
 TEST_P(GpuContractMode, MatchesSerialReference) {

@@ -105,17 +105,27 @@ TEST(MultiGpu, QualityComparableToSingleGpu) {
 }
 
 TEST(MultiGpu, OneDeviceMatchesHybridStructure) {
-  // D=1 must behave like a (host-replayed) single-GPU run: valid result,
-  // zero halo bytes.
-  const auto g = grid2d_graph(64, 64);
-  PartitionOptions opts;
-  opts.k = 8;
-  opts.gpu_devices = 1;
-  opts.gpu_cpu_threshold = 1000;
-  MultiGpuLog log;
-  const auto r = multi_gpu_run(g, opts, &log);
-  EXPECT_TRUE(validate_partition(g, r.partition).empty());
-  EXPECT_EQ(log.halo_exchange_bytes, 0u);
+  // D=1 runs the single-GPU matching stream (device 0's seed salt is 0)
+  // and the same contraction, so the hierarchy must equal gp-metis': same
+  // GPU levels, same total levels, same coarsest graph; zero halo bytes.
+  for (const auto& g : {grid2d_graph(64, 64), delaunay_graph(20000, 3)}) {
+    PartitionOptions opts;
+    opts.k = 8;
+    opts.gpu_devices = 1;
+    opts.threads = 1;
+    opts.gpu_host_workers = 1;
+    opts.gpu_cpu_threshold = 1000;
+    MultiGpuLog log;
+    const auto r = multi_gpu_run(g, opts, &log);
+    GpPhaseLog gp_log;
+    const auto single = gp_metis_run(g, opts, &gp_log);
+    EXPECT_TRUE(validate_partition(g, r.partition).empty());
+    EXPECT_EQ(log.halo_exchange_bytes, 0u);
+    EXPECT_GT(log.gpu_coarsen_levels, 0);
+    EXPECT_EQ(log.gpu_coarsen_levels, gp_log.gpu_coarsen_levels);
+    EXPECT_EQ(r.coarsen_levels, single.coarsen_levels);
+    EXPECT_EQ(r.coarsest_vertices, single.coarsest_vertices);
+  }
 }
 
 TEST(MultiGpu, FactoryName) {

@@ -212,7 +212,8 @@ TEST(Fused, LookbackChargesSingleElementSweep) {
 struct FusedSystem {
   const char* name;
   std::unique_ptr<Partitioner> (*make)();
-  std::uint64_t fnv;  ///< test_thread_pool.cpp's pinned deterministic FNV
+  std::uint64_t fnv;  ///< pinned deterministic FNV (test_thread_pool.cpp
+                      ///< pins the same value for the first four systems)
 };
 
 std::uint64_t fnv1a(const void* data, std::size_t bytes) {
@@ -266,7 +267,9 @@ INSTANTIATE_TEST_SUITE_P(
         FusedSystem{"mt_metis", &make_mt_partitioner,
                     7355817695509169360ULL},
         FusedSystem{"gp_metis", &make_hybrid_partitioner,
-                    5153263865161350000ULL}),
+                    5153263865161350000ULL},
+        FusedSystem{"gp_metis_multi", &make_multi_gpu_partitioner,
+                    14820294362705968805ULL}),
     [](const ::testing::TestParamInfo<FusedSystem>& info) {
       return info.param.name;
     });
