@@ -99,8 +99,16 @@ PartitionResult run_driver(const CsrGraph& g, const PartitionOptions& opts,
   WallTimer wall;
   PartitionResult res;
   const std::unique_ptr<FaultInjector> injector = opts.make_fault_injector();
+  // Injected corruption (flipped transfers, perturbed cmaps) is stopped
+  // short of an out-of-range index only by the audits, so an armed run
+  // audits at least at phase boundaries.
+  std::optional<PartitionOptions> audited;
+  if (injector && opts.audit_level == AuditLevel::kOff) {
+    audited.emplace(opts);
+    audited->audit_level = AuditLevel::kPhase;
+  }
   const Watchdog watchdog(opts.time_budget_seconds);
-  DriverRun run{g, opts, injector.get(), watchdog, res};
+  DriverRun run{g, audited ? *audited : opts, injector.get(), watchdog, res};
   RunHealth& health = res.health;
   const DriverLadder& ladder = spec.ladder;
   // The CPU rungs' own ladder: an audit failure in rung 1 moves on to

@@ -88,7 +88,9 @@ struct PartitionOptions {
   /// Phase-boundary invariant audits: off = zero overhead (default),
   /// phase = O(n+m) checks at phase boundaries, paranoid = phase plus
   /// full structural revalidation of every coarse graph.  A failed audit
-  /// rolls the level back and re-executes on an escalating ladder.
+  /// rolls the level back and re-executes on an escalating ladder.  A run
+  /// with a fault spec audits at phase level at least: the audits are
+  /// what stops injected corruption before it indexes out of range.
   AuditLevel audit_level = AuditLevel::kOff;
   /// Wall-clock deadline in seconds, enforced at phase boundaries: when
   /// rollback-retries threaten the budget, the drivers shed refinement

@@ -313,6 +313,11 @@ FmStats fm_refine_bisection(const CsrGraph& g, std::vector<part_t>& side,
   GainHeap heap;
   heap.reset(maxwdeg < (wgt_t{1} << 30));
   std::vector<vid_t> move_seq;
+  // Metis' FM_2WayCutRefine stopping rule: a pass ends once this many
+  // moves have passed without a new best cut.  Draining the whole heap
+  // instead moves (and then rolls back) nearly every boundary vertex.
+  const std::size_t limit = std::min<std::size_t>(
+      std::max<std::size_t>(static_cast<std::size_t>(n) / 100, 15), 100);
 
   for (int pass = 0; pass < max_passes; ++pass) {
     ++stats.passes;
@@ -382,8 +387,6 @@ FmStats fm_refine_bisection(const CsrGraph& g, std::vector<part_t>& side,
       const bool toward_window =
           std::abs(new_w0 - mid) < std::abs(w0 - mid);
       if (!in_window && !toward_window) continue;
-      // Stop exploring hopeless tails: bounded negative-gain streak is
-      // enforced by the queue draining naturally; we cap the sequence at n.
       moved[static_cast<std::size_t>(v)] = 1;
       side[static_cast<std::size_t>(v)] = 1 - sv;
       w0 = new_w0;
@@ -420,7 +423,11 @@ FmStats fm_refine_bisection(const CsrGraph& g, std::vector<part_t>& side,
       // self-arc contribution -selfw is side-invariant.
       gain[static_cast<std::size_t>(v)] =
           -gn - 2 * selfw[static_cast<std::size_t>(v)];
+      // Checked only after the gain updates, so the rollback below
+      // unwinds whole moves and leaves the cache exact.
+      if (move_seq.size() - best_prefix > limit) break;
     }
+    stats.moves += move_seq.size();
 
     // Roll back moves past the best prefix.  When the pass improved
     // (best_prefix > 0) the loop continues, so the inverse gain deltas

@@ -33,6 +33,8 @@ struct FmStats {
   /// Heap-drain portion (sequential moves + rollback with exact inverse
   /// gain deltas): inherently serial.
   std::uint64_t drain_work = 0;
+  /// Moves applied over all passes, rolled-back ones included.
+  std::uint64_t moves = 0;
   int passes = 0;
   wgt_t cut_before = 0;
   wgt_t cut_after = 0;
@@ -41,7 +43,10 @@ struct FmStats {
 /// Boundary Fiduccia-Mattheyses refinement of a bisection (the "modified
 /// Kernighan-Lin" of Metis): repeated passes of single-vertex moves with
 /// hill-climbing and rollback to the best prefix, under the balance
-/// window [min0, max0] for side-0 weight.
+/// window [min0, max0] for side-0 weight.  As in Metis' FM_2WayCutRefine,
+/// a pass ends once min(max(n / 100, 15), 100) moves have passed without a
+/// new best cut, rather than draining the whole heap: past that point the
+/// moves are almost always rolled back.
 ///
 /// `cut_hint`, when >= 0, is trusted as the exact current cut of `side`
 /// (callers coming straight from gggp_bisect already know it) and skips

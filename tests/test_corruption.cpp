@@ -55,18 +55,25 @@ TEST(CorruptionSerial, CmapPerturbationIsCaughtRolledBackAndDeterministic) {
   EXPECT_EQ(r0.cut, r1.cut);
 }
 
-TEST(CorruptionSerial, WithoutAuditsTheCorruptionGoesUndetected) {
-  // The control experiment: the same plan at audit off terminates (the
-  // cmap perturbation stays in-range by construction) but nothing fires.
+TEST(CorruptionSerial, ArmedInjectorAuditsEvenAtAuditOff) {
+  // The audits are the only guard against injected corruption, so a run
+  // with a fault spec audits at phase boundaries even when asked for
+  // audit off: the same plan leaves the same trail as at kPhase.
   const auto g = delaunay_graph(4000, 3);
-  PartitionOptions opts = corruption_opts();
-  opts.audit_level = AuditLevel::kOff;
-  opts.fault_spec = "cmap@0";
-  const auto r = SerialMetisPartitioner{}.run(g, opts);
-  EXPECT_TRUE(validate_partition(g, r.partition, r.cut, r.balance).empty());
-  EXPECT_EQ(r.health.corruptions_injected, 1u);
-  EXPECT_EQ(r.health.audits_failed, 0u);
-  EXPECT_EQ(r.health.rollbacks, 0u);
+  PartitionOptions off = corruption_opts();
+  off.audit_level = AuditLevel::kOff;
+  off.fault_spec = "cmap@0";
+  PartitionOptions phase = off;
+  phase.audit_level = AuditLevel::kPhase;
+  const auto r_off = SerialMetisPartitioner{}.run(g, off);
+  const auto r_phase = SerialMetisPartitioner{}.run(g, phase);
+  EXPECT_TRUE(
+      validate_partition(g, r_off.partition, r_off.cut, r_off.balance).empty());
+  EXPECT_EQ(r_off.health.corruptions_injected, 1u);
+  EXPECT_GE(r_off.health.audits_failed, 1u);
+  EXPECT_GE(r_off.health.rollbacks, 1u);
+  EXPECT_EQ(r_off.partition.where, r_phase.partition.where);
+  EXPECT_EQ(r_off.health, r_phase.health);
 }
 
 TEST(CorruptionSerial, AuditsAloneDoNotChangeThePartition) {

@@ -7,6 +7,7 @@
 // TSan as well.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -152,33 +153,118 @@ TEST(InitPartStream, RbPartitionIsTheEngineInStreamMode) {
 // --- FM invariants: parallel boundary seeding is byte-identical to the
 // serial scan, and the persistent gain cache keeps the tracked cut exact ---
 
-TEST(Bisection, FmPoolSeedingMatchesSerialByteForByte) {
+/// Metis' FM_2WayCutRefine move limit for an n-vertex graph.
+std::uint64_t fm_move_limit(vid_t n) {
+  return std::min<std::uint64_t>(std::max<std::uint64_t>(n / 100, 15), 100);
+}
+
+/// Vertices whose side differs: the moves a single FM pass kept, since a
+/// pass moves each vertex at most once.
+std::uint64_t sides_changed(const std::vector<part_t>& a,
+                            const std::vector<part_t>& b) {
+  std::uint64_t d = 0;
+  for (std::size_t v = 0; v < a.size(); ++v) d += a[v] != b[v];
+  return d;
+}
+
+wgt_t side0_weight(const CsrGraph& g, const std::vector<part_t>& side) {
+  wgt_t w0 = 0;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    if (side[static_cast<std::size_t>(v)] == 0) w0 += g.vertex_weight(v);
+  }
+  return w0;
+}
+
+/// Refines `bis` serially and with a 4-thread seeding pool; both must
+/// agree byte for byte, in the metered work and the move count too.
+void expect_pool_fm_matches_serial(const CsrGraph& g,
+                                   const BisectionResult& bis, wgt_t min0,
+                                   wgt_t max0) {
   ThreadPool pool(4);
+  std::vector<part_t> side_serial = bis.side;
+  const FmStats fs =
+      fm_refine_bisection(g, side_serial, min0, max0, 8, bis.cut);
+
+  std::vector<part_t> side_pool = bis.side;
+  std::vector<std::uint64_t> tw(static_cast<std::size_t>(pool.size()), 0);
+  const FmStats fp = fm_refine_bisection(g, side_pool, min0, max0, 8,
+                                         bis.cut, &pool, &tw);
+
+  EXPECT_EQ(side_serial, side_pool);
+  EXPECT_EQ(fs.cut_after, fp.cut_after);
+  EXPECT_EQ(fs.passes, fp.passes);
+  EXPECT_EQ(fs.moves, fp.moves);
+  // Same total metered work, just distributed across the pool.
+  EXPECT_EQ(fs.work_units, fp.work_units);
+  std::uint64_t par = 0;
+  for (const auto w : tw) par += w;
+  EXPECT_EQ(par, fp.seed_work);
+}
+
+TEST(Bisection, FmPoolSeedingMatchesSerialByteForByte) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    SCOPED_TRACE(seed);
     const CsrGraph g = erdos_renyi_graph(800, 4000, seed);
     Rng rng(seed);
     BisectionResult bis =
         gggp_bisect(g, g.total_vertex_weight() / 2, rng, 1);
     const wgt_t maxw = g.total_vertex_weight();
+    expect_pool_fm_matches_serial(g, bis, maxw / 2 - maxw / 8,
+                                  maxw / 2 + maxw / 8);
+  }
+  // A 2,000-vertex grid, where the first pass ends at the move limit
+  // (every move past the best prefix plus one is never made).
+  const CsrGraph g = grid2d_graph(50, 40);
+  Rng rng(9);
+  BisectionResult bis = gggp_bisect(g, g.total_vertex_weight() / 2, rng, 1);
+  const wgt_t maxw = g.total_vertex_weight();
+  std::vector<part_t> one = bis.side;
+  const FmStats f1 = fm_refine_bisection(g, one, maxw / 2 - maxw / 20,
+                                         maxw / 2 + maxw / 20, 1, bis.cut);
+  ASSERT_EQ(f1.moves - sides_changed(bis.side, one),
+            fm_move_limit(g.num_vertices()) + 1);
+  expect_pool_fm_matches_serial(g, bis, maxw / 2 - maxw / 20,
+                                maxw / 2 + maxw / 20);
+}
 
-    std::vector<part_t> side_serial = bis.side;
-    const FmStats fs = fm_refine_bisection(g, side_serial, maxw / 2 - maxw / 8,
-                                           maxw / 2 + maxw / 8, 8, bis.cut);
-
-    std::vector<part_t> side_pool = bis.side;
-    std::vector<std::uint64_t> tw(static_cast<std::size_t>(pool.size()), 0);
-    const FmStats fp = fm_refine_bisection(g, side_pool, maxw / 2 - maxw / 8,
-                                           maxw / 2 + maxw / 8, 8, bis.cut,
-                                           &pool, &tw);
-
-    EXPECT_EQ(side_serial, side_pool) << "seed " << seed;
-    EXPECT_EQ(fs.cut_after, fp.cut_after);
-    EXPECT_EQ(fs.passes, fp.passes);
-    // Same total metered work, just distributed across the pool.
-    EXPECT_EQ(fs.work_units, fp.work_units);
-    std::uint64_t par = 0;
-    for (const auto w : tw) par += w;
-    EXPECT_EQ(par, fp.seed_work);
+TEST(Bisection, FmPassStopsAtMetisLimit) {
+  // Without the limit a pass drains its whole heap and rolls back nearly
+  // every move on these graphs.  One-pass calls make each pass's kept
+  // moves observable as the vertices whose side changed.
+  for (const CsrGraph& g : {grid2d_graph(50, 40), delaunay_graph(3000, 7)}) {
+    SCOPED_TRACE(g.num_vertices());
+    const std::uint64_t limit = fm_move_limit(g.num_vertices());
+    const wgt_t maxw = g.total_vertex_weight();
+    const wgt_t min0 = maxw / 2 - maxw / 20;
+    const wgt_t max0 = maxw / 2 + maxw / 20;
+    Rng rng(5);
+    BisectionResult bis = gggp_bisect(g, maxw / 2, rng, 1);
+    // Starting inside the window, every kept prefix stays inside it.
+    ASSERT_GE(bis.weight0, min0);
+    ASSERT_LE(bis.weight0, max0);
+    std::vector<part_t> side = bis.side;
+    wgt_t cut = bis.cut;
+    bool fired = false;
+    for (int pass = 0; pass < 8; ++pass) {
+      const std::vector<part_t> before = side;
+      const FmStats fs = fm_refine_bisection(g, side, min0, max0, 1, cut);
+      const std::uint64_t kept = sides_changed(before, side);
+      ASSERT_GE(fs.moves, kept);
+      EXPECT_LE(fs.moves - kept, limit + 1) << "pass " << pass;
+      fired |= fs.moves - kept == limit + 1;
+      EXPECT_EQ(fs.cut_after, bisection_cut(g, side)) << "pass " << pass;
+      EXPECT_GE(side0_weight(g, side), min0);
+      EXPECT_LE(side0_weight(g, side), max0);
+      cut = fs.cut_after;
+      if (kept == 0) break;  // a pass without a new best cut is terminal
+    }
+    EXPECT_TRUE(fired);
+    // Multi-pass: an early-ended pass still leaves the gain cache exact
+    // for the next pass's seeding, so the tracked cut stays exact.
+    side = bis.side;
+    const FmStats fs = fm_refine_bisection(g, side, min0, max0, 8, bis.cut);
+    EXPECT_EQ(fs.cut_after, bisection_cut(g, side));
+    EXPECT_LE(fs.cut_after, bis.cut);
   }
 }
 

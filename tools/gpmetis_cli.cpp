@@ -21,7 +21,8 @@
 //   --fault-spec <s> fault-injection schedule, e.g. "alloc@3;kernel:p=0.01"
 //                    (see src/util/fault.hpp for the full grammar)
 //   --fault-seed <n> seed for probabilistic fault rules (default 0)
-//   --audit <level>  invariant audits: off|phase|paranoid (default off)
+//   --audit <level>  invariant audits: off|phase|paranoid (default off;
+//                    a run with --fault-spec audits at phase at least)
 //   --time-budget <s>  wall-clock budget in seconds; refinement is shed
 //                    once it expires (default: unlimited)
 //   --serve <n>      service mode: submit the request n times through the
